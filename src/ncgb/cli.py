@@ -14,7 +14,6 @@ from pathlib import Path
 from . import completion, oracle
 from .completion import CompletionLimits, CompletionResult, complete
 from .fileformat import (
-    ParseError,
     format_polynomial,
     format_word,
     parse_polynomial,
@@ -190,10 +189,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
+        # ValueError covers parse errors and limits that are not positive.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

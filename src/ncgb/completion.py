@@ -16,6 +16,7 @@ from .linalg import Polynomial
 from .presentation import (
     CriticalBranching,
     Presentation,
+    _leftmost_longest_factor,
     critical_branchings,
     extension_apply,
 )
@@ -85,16 +86,11 @@ def normalisation(
     keys = U.reducible_words()
     max_len = max((len(k) for k in keys), default=0)
 
-    def first_reducible(w: Word) -> tuple[int, Word] | None:
-        for i in range(len(w)):
-            for k in range(min(max_len, len(w) - i), 0, -1):
-                if w[i : i + k] in keys:
-                    return i, w[i : i + k]
-        return None
-
     while True:
         eligible = [
-            (w, hit) for w in worklist if (hit := first_reducible(w)) is not None
+            (w, hit)
+            for w in worklist
+            if (hit := _leftmost_longest_factor(w, keys, max_len)) is not None
         ]
         if not eligible:
             break

@@ -161,9 +161,11 @@ def parse_presentation(text: str) -> Presentation:
         if not arrow:
             raise ParseError(f"rule without '->': {text_line!r}", lineno)
         lhs = parse_word(lhs_text, alphabet, lineno)
-        if not lhs:
-            raise ParseError("rule left-hand side cannot be the empty word", lineno)
         rhs = parse_polynomial(rhs_text, alphabet, lineno)
+        # ``1 -> 0`` says the ideal holds a constant; any other image of the
+        # empty word would have to be smaller than it.
+        if not lhs and rhs:
+            raise ParseError("rule left-hand side can be the empty word only with 0", lineno)
         if rhs and order.key(rhs.leading(order)[0]) >= order.key(lhs):
             raise ParseError("rule right-hand side not smaller than left-hand side", lineno)
         vectors.append(Polynomial.monomial(lhs) - rhs)

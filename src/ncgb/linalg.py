@@ -2,14 +2,17 @@
 
 Subspaces of the span of a finite word set are represented by reduced
 bases: monic vectors with pairwise distinct leading words, fully
-auto-reduced, sorted by decreasing leading word.  All arithmetic uses
-``fractions.Fraction`` so results are bit-exact.
+auto-reduced, sorted by decreasing leading word.  One sparse eliminator
+computes every basis here: the reduced basis, the sum, the Zassenhaus
+intersection and the coordinate intersection differ only in the column
+order they hand it.  All arithmetic uses ``fractions.Fraction`` so
+results are bit-exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .words import DegLexOrder, Word
 
@@ -100,29 +103,47 @@ def leading(f: Polynomial, order: DegLexOrder) -> tuple[Word, Fraction]:
     return f.leading(order)
 
 
-def _reduce_against(f: Polynomial, pivots: dict[Word, Polynomial]) -> Polynomial:
-    # Pivots are mutually reduced, so one pass over the support suffices.
-    for w in list(f.support()):
-        if w in pivots:
-            f = f - pivots[w].scale(f.coeff(w))
-    return f
+def _add_multiple(row: dict, c: Fraction, other: Mapping, skip) -> None:
+    """row += c * other, on every column of ``other`` except ``skip``."""
+    for col, d in other.items():
+        if col != skip:
+            x = row.get(col, 0) + c * d
+            if x:
+                row[col] = x
+            else:
+                del row[col]
+
+
+def _eliminate(rows: Iterable[Mapping], key: Callable) -> dict:
+    """Sparse exact reduced row echelon form of ``rows``.
+
+    The pivot of a row is its greatest column under ``key``.  Returns the
+    monic, fully inter-reduced rows keyed by pivot: no row holds another
+    row's pivot.
+    """
+    pivots: dict = {}
+    for row in rows:
+        row = dict(row)
+        # Pivot rows hold no other pivot, so one pass over them reduces.
+        for col in [col for col in row if col in pivots]:
+            _add_multiple(row, -row.pop(col), pivots[col], col)
+        if not row:
+            continue
+        pivot = max(row, key=key)
+        inv = 1 / row[pivot]
+        row = {col: c * inv for col, c in row.items()}
+        for other in pivots.values():
+            c = other.pop(pivot, 0)
+            if c:
+                _add_multiple(other, -c, row, pivot)
+        pivots[pivot] = row
+    return pivots
 
 
 def reduced_basis(vectors: Iterable[Polynomial], order: DegLexOrder) -> list[Polynomial]:
     """Unique monic auto-reduced basis of the span, by decreasing leading word."""
-    pivots: dict[Word, Polynomial] = {}
-    for v in vectors:
-        v = _reduce_against(v, pivots)
-        if v.is_zero():
-            continue
-        v = v.monic(order)
-        lw, _ = v.leading(order)
-        for key, p in list(pivots.items()):
-            c = p.coeff(lw)
-            if c:
-                pivots[key] = p - v.scale(c)
-        pivots[lw] = v
-    return [pivots[w] for w in sorted(pivots, key=order.key, reverse=True)]
+    pivots = _eliminate((v._terms for v in vectors), order.key)
+    return [Polynomial(pivots[w]) for w in sorted(pivots, key=order.key, reverse=True)]
 
 
 def subspace_sum(
@@ -131,96 +152,35 @@ def subspace_sum(
     return reduced_basis(list(A) + list(B), order)
 
 
-def _dense(f: Polynomial, index: Mapping[Word, int], n: int) -> list[Fraction]:
-    row = [Fraction(0)] * n
-    for w, c in f.items():
-        row[index[w]] = c
-    return row
-
-
-def _forward_eliminate(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """In-place row echelon form; returns the nonzero rows."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = Fraction(1) / rows[r][col]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                c = rows[i][col]
-                rows[i] = [x - c * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-        if r == len(rows):
-            break
-    return [row for row in rows if any(row)]
-
-
 def subspace_intersection(
     A: Sequence[Polynomial], B: Sequence[Polynomial], order: DegLexOrder
 ) -> list[Polynomial]:
-    """Reduced basis of span(A) ∩ span(B), by the Zassenhaus block trick."""
-    A = reduced_basis(A, order)
-    B = reduced_basis(B, order)
-    if not A or not B:
-        return []
-    ambient = sorted(
-        {w for f in A for w in f.support()} | {w for f in B for w in f.support()},
-        key=order.key,
-        reverse=True,
-    )
-    n = len(ambient)
-    index = {w: i for i, w in enumerate(ambient)}
-    rows = [_dense(a, index, n) + _dense(a, index, n) for a in A]
-    rows += [_dense(b, index, n) + [Fraction(0)] * n for b in B]
-    out = []
-    for row in _forward_eliminate(rows):
-        if not any(row[:n]):
-            out.append(Polynomial({ambient[i]: c for i, c in enumerate(row[n:]) if c}))
-    return reduced_basis(out, order)
+    """Reduced basis of span(A) ∩ span(B), by the Zassenhaus block trick.
 
-
-def _nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Basis of the right nullspace of the given matrix."""
-    rows = [list(r) for r in rows if any(r)]
-    echelon = _forward_eliminate(rows)
-    pivot_cols = []
-    for row in echelon:
-        pivot_cols.append(next(j for j in range(ncols) if row[j]))
-    free_cols = [j for j in range(ncols) if j not in pivot_cols]
-    basis = []
-    for free in free_cols:
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for row, pc in zip(echelon, pivot_cols):
-            vec[pc] = -row[free]
-        basis.append(vec)
-    return basis
+    Rows (a | a) and (b | 0) are eliminated with every first-block column
+    above every second-block one; the rows left with a second-block pivot
+    are zero on the first block and span the intersection.
+    """
+    rows = [{(t, w): c for w, c in a.items() for t in (1, 0)} for a in A]
+    rows += [{(1, w): c for w, c in b.items()} for b in B]
+    pivots = _eliminate(rows, lambda col: (col[0], order.key(col[1])))
+    common = sorted((w for t, w in pivots if t == 0), key=order.key, reverse=True)
+    return [Polynomial({w: c for (_, w), c in pivots[(0, lw)].items()}) for lw in common]
 
 
 def coordinate_subspace_intersection(
     A: Sequence[Polynomial], allowed: set[Word], order: DegLexOrder
 ) -> list[Polynomial]:
-    """Reduced basis of the vectors of span(A) supported inside ``allowed``."""
-    A = reduced_basis(A, order)
-    if not A:
-        return []
-    disallowed = sorted(
-        {w for f in A for w in f.support()} - set(allowed), key=order.key
+    """Reduced basis of the vectors of span(A) supported inside ``allowed``.
+
+    Every disallowed word is ranked above every allowed one, so the rows
+    whose pivot is allowed are supported inside ``allowed`` and span the
+    intersection.  On allowed words the ranking is deg-lex, so they are
+    already its reduced basis.
+    """
+    allowed = set(allowed)
+    pivots = _eliminate(
+        (a._terms for a in A), lambda w: (w not in allowed, order.key(w))
     )
-    if not disallowed:
-        return list(A)
-    rows = [[a.coeff(w) for a in A] for w in disallowed]
-    combos = []
-    for coeffs in _nullspace(rows, len(A)):
-        v = Polynomial.zero()
-        for c, a in zip(coeffs, A):
-            if c:
-                v = v + a.scale(c)
-        combos.append(v)
-    return reduced_basis(combos, order)
+    kept = sorted((w for w in pivots if w in allowed), key=order.key, reverse=True)
+    return [Polynomial(pivots[w]) for w in kept]

@@ -111,10 +111,6 @@ def single_rule(f: Polynomial, order: DegLexOrder) -> ReductionOperator:
     return ker_inv([f], order)
 
 
-def apply(T: ReductionOperator, f: Polynomial) -> Polynomial:
-    return T.apply(f)
-
-
 def leq(T1: ReductionOperator, T2: ReductionOperator) -> bool:
     """T1 below T2: the kernel of T2 is contained in the kernel of T1."""
     return all(T1.apply(v).is_zero() for v in T2.kernel_basis())
@@ -169,14 +165,13 @@ def complement(family: Sequence[ReductionOperator]) -> ReductionOperator:
     family-normal-form words.
 
     Only the finite-dimensional part matters: the kernel of the result is the
-    set of meet-kernel vectors supported entirely on normal-form words.
+    set of vectors in the sum of the members' kernels that are supported
+    entirely on normal-form words.  One elimination of the members' kernel
+    vectors gives it; the meet itself is never formed.
     """
     if not family:
         raise ValueError("complement of an empty family")
     order = family[0].order
-    ambient = family_ambient(family)
-    allowed = normal_form_words(family, ambient)
-    vectors = coordinate_subspace_intersection(
-        meet(family).kernel_basis(), allowed, order
-    )
-    return ker_inv(vectors, order)
+    allowed = normal_form_words(family, family_ambient(family))
+    vectors = [v for T in family for v in T.kernel_basis()]
+    return ker_inv(coordinate_subspace_intersection(vectors, allowed, order), order)

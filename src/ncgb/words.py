@@ -12,8 +12,6 @@ from typing import Iterator
 
 Word = tuple[int, ...]
 
-EMPTY_WORD: Word = ()
-
 LT, EQ, GT = -1, 0, 1
 
 
@@ -65,13 +63,6 @@ class DegLexOrder:
 
     def less(self, u: Word, v: Word) -> bool:
         return self.key(u) < self.key(v)
-
-    def max_word(self, words) -> Word:
-        return max(words, key=self.key)
-
-
-def word(*letters: int) -> Word:
-    return tuple(letters)
 
 
 def concat(u: Word, v: Word) -> Word:

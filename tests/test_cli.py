@@ -105,6 +105,16 @@ def test_missing_file_exit_code(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_non_positive_limits_exit_code(braided_file, capsys):
+    for argv in (
+        ["complete", braided_file, "--max-iter", "0"],
+        ["complete", braided_file, "--max-deg", "0"],
+        ["oracle", braided_file, "--max-deg", "0"],
+    ):
+        assert main(argv) == 2
+        assert "error: completion limits must be positive" in capsys.readouterr().err
+
+
 def test_usage_error():
     with pytest.raises(SystemExit):
         main([])

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from ncgb.completion import complete
 from ncgb.fileformat import (
     ParseError,
     format_polynomial,
@@ -166,6 +167,15 @@ def test_serialize_presentation_round_trip_examples():
         again = parse_presentation(out)
         assert again.operator == P.operator
         assert serialize_presentation(again) == out
+
+
+def test_serialize_presentation_round_trip_unit_ideal():
+    # The ideal holds a constant, so completion adds the rule 1 -> 0.
+    P = parse_presentation("alphabet: x\norder: deglex\nrules:\nx.x -> 1\nx -> 2\n")
+    completed = complete(P).completed
+    out = serialize_presentation(completed)
+    assert "1 -> 0" in out.splitlines()
+    assert parse_presentation(out) == completed
 
 
 def test_serialize_presentation_round_trip_random():

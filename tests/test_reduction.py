@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from ncgb.linalg import Polynomial, reduced_basis
+from ncgb.linalg import Polynomial, coordinate_subspace_intersection, reduced_basis
 from ncgb.reduction import (
     ReductionOperator,
     complement,
@@ -238,6 +238,22 @@ def test_complement_axioms_random(ab, order):
         assert meet([lower, C]) == lower
         assert obstructions(family, family_ambient(family)) <= C.reducible_words()
         assert is_confluent_family(family + [C])
+
+
+def test_complement_matches_meet_then_intersect(ab, order):
+    # complement() eliminates the members' kernel vectors directly; the
+    # definition it replaces first forms the meet and intersects its kernel.
+    rng = random.Random(113)
+    ambient = all_words(ab, 2)[:8]
+    for _ in range(60):
+        family = [
+            random_operator(rng, order, ambient) for _ in range(rng.randint(1, 3))
+        ]
+        allowed = normal_form_words(family, family_ambient(family))
+        kernel = coordinate_subspace_intersection(
+            meet(family).kernel_basis(), allowed, order
+        )
+        assert complement(family) == ker_inv(kernel, order)
 
 
 def test_church_rosser_on_confluent_families(ab, order):
