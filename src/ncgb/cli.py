@@ -48,8 +48,9 @@ def _write_trace(path: str, P: Presentation, result: CompletionResult) -> None:
         pres = Presentation(P.alphabet, P.order, step.operator_before)
         lines.append(f"step {step.index}")
         lines.append("  branchings:")
+        old = set(step.old_branchings)
         for b in step.branchings:
-            marker = " (old)" if b in step.old_branchings else ""
+            marker = " (old)" if b in old else ""
             lines.append(f"    {_fmt_branching(pres, b)}{marker}")
         lines.append("  seeds:")
         for f in step.spol_seeds:

@@ -21,7 +21,7 @@ from .presentation import (
     extension_apply,
 )
 from .reduction import ReductionOperator, complement, meet, single_rule
-from .words import Word
+from .words import _Descending
 
 CONVERGED = "converged"
 ITERATION_CAP = "iteration_cap"
@@ -67,57 +67,43 @@ def normalisation(
     remaining support words are U-normal.
 
     Selection is deterministic: always the greatest eligible word, then its
-    leftmost reducible factor with the longest key at that position.
+    leftmost reducible factor with the longest key at that position.  An
+    expansion only adds words smaller than the one it expands, so the words
+    are taken from a deg-lex heap and each is matched once.  The seeds'
+    leading words are left out of the starting worklist only: one that turns
+    up in a later image is expanded like any other word.  The family is
+    deduplicated by hash, in order of first appearance.
     """
     order = U.order
     if any(f.is_zero() for f in seeds):
         raise ValueError("normalisation seeds must be nonzero")
-    family: list[ReductionOperator] = []
-    worklist: set[Word] = set()
-    lead_words = set()
-    for f in seeds:
-        op = single_rule(f, order)
-        if op not in family:
-            family.append(op)
-        worklist |= f.support()
-        lead_words.add(f.leading(order)[0])
-    worklist -= lead_words
+    family = dict.fromkeys(single_rule(f, order) for f in seeds)
+    lead_words = {f.leading(order)[0] for f in seeds}
+    worklist = _Descending({w for f in seeds for w in f.support()} - lead_words)
 
     keys = U.reducible_words()
     max_len = max((len(k) for k in keys), default=0)
-
-    while True:
-        eligible = [
-            (w, hit)
-            for w in worklist
-            if (hit := _leftmost_longest_factor(w, keys, max_len)) is not None
-        ]
-        if not eligible:
-            break
-        w, (i, key) = max(eligible, key=lambda item: order.key(item[0]))
-        prefix, suffix = w[:i], w[i + len(key) :]
-        image = U.rules[key]
-        vector = (Polynomial.monomial(key) - image).sandwich(prefix, suffix)
-        if vector:
-            op = single_rule(vector, order)
-            if op not in family:
-                family.append(op)
-        worklist.discard(w)
-        worklist |= image.sandwich(prefix, suffix).support()
-    return family
+    for w in worklist:
+        hit = _leftmost_longest_factor(w, keys, max_len)
+        if hit is None:
+            continue
+        i, key = hit
+        image = U.rules[key].sandwich(w[:i], w[i + len(key) :])
+        family.setdefault(single_rule(Polynomial.monomial(w) - image, order))
+        worklist.push(image.support())
+    return list(family)
 
 
 def _seeds(
     P: Presentation, branchings: list[CriticalBranching]
 ) -> list[Polynomial]:
     """Both one-step legs w - S_{n,m}(w) of every branching, deduplicated."""
-    seeds: list[Polynomial] = []
-    for b in branchings:
-        for n, m in (b.left, b.right):
-            f = Polynomial.monomial(b.source) - extension_apply(P, n, m, b.source)
-            if f and f not in seeds:
-                seeds.append(f)
-    return seeds
+    legs = (
+        Polynomial.monomial(b.source) - extension_apply(P, n, m, b.source)
+        for b in branchings
+        for n, m in (b.left, b.right)
+    )
+    return list(dict.fromkeys(f for f in legs if f))
 
 
 def complete(P: Presentation, limits: CompletionLimits | None = None) -> CompletionResult:

@@ -7,8 +7,10 @@ order directly.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Iterator
+from operator import neg
+from typing import Iterable, Iterator
 
 Word = tuple[int, ...]
 
@@ -63,6 +65,34 @@ class DegLexOrder:
 
     def less(self, u: Word, v: Word) -> bool:
         return self.key(u) < self.key(v)
+
+
+class _Descending:
+    """Worklist that hands out words greatest first under deg-lex.
+
+    A word is queued at most once, even after it has been handed out.  That
+    is sound where every word pushed is smaller than the one just handed
+    out, as in a rewriting loop under a monomial order: a word handed out
+    never comes back.  ``heapq`` is a min-heap, so each word is queued under
+    its deg-lex key with every component negated.
+    """
+
+    __slots__ = ("_heap", "_queued")
+
+    def __init__(self, words: Iterable[Word]) -> None:
+        self._heap: list[tuple[int, Word, Word]] = []
+        self._queued: set[Word] = set()
+        self.push(words)
+
+    def push(self, words: Iterable[Word]) -> None:
+        for w in words:
+            if w not in self._queued:
+                self._queued.add(w)
+                heapq.heappush(self._heap, (-len(w), tuple(map(neg, w)), w))
+
+    def __iter__(self) -> Iterator[Word]:
+        while self._heap:
+            yield heapq.heappop(self._heap)[2]
 
 
 def concat(u: Word, v: Word) -> Word:

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -7,10 +8,12 @@ from ncgb.completion import (
     DEGREE_CAP,
     ITERATION_CAP,
     CompletionLimits,
+    _seeds,
     complete,
     completed_operator,
     normalisation,
 )
+from ncgb.fileformat import parse_presentation
 from ncgb.linalg import Polynomial
 from ncgb.presentation import (
     Presentation,
@@ -20,6 +23,7 @@ from ncgb.presentation import (
     s_polynomial,
 )
 from ncgb.reduction import identity, ker_inv, leq, meet, single_rule
+from ncgb.words import Alphabet, DegLexOrder
 
 from conftest import p, random_presentation, w
 
@@ -71,6 +75,51 @@ def test_normalisation_expands_reducible_support(ab, order):
         single_rule(p(ab, "y.z.x - x.x"), order),
         single_rule(p(ab, "x.x - x"), order),
     ]
+
+
+def test_normalisation_expands_seed_lead_word_met_again():
+    # x.y.y leads the first seed, so it is left out of the starting worklist;
+    # expanding y.y.y of the second seed brings it back, and it must then be
+    # expanded into its own member like any other word.
+    xy = Alphabet(("x", "y"))
+    order = DegLexOrder(xy)
+    U = ker_inv([p(xy, "y.y - x.y")], order)
+    seeds = [p(xy, "x.y.y - x"), p(xy, "x.x.x.x + y.y.y")]
+    assert normalisation(seeds, U) == [
+        single_rule(seeds[0], order),
+        single_rule(seeds[1], order),
+        single_rule(p(xy, "y.y.y - x.y.y"), order),
+        single_rule(p(xy, "x.y.y - x.x.y"), order),
+    ]
+
+
+HEAVY_STEP_TEXT = """\
+alphabet: w x y
+order: deglex
+rules:
+x.y -> 3*w.y + 3*w.x + 3*w
+y.x -> -2*x.x + 9*w.y + 9*w.x - y + 9*w
+"""
+
+
+def test_normalisation_heavy_step_is_fast():
+    # Step 2 of this completion normalises 84 seeds into 1,359 operators;
+    # rescanning the whole worklist after each expansion took about 20 s.
+    P = parse_presentation(HEAVY_STEP_TEXT)
+    result = complete(P, CompletionLimits(2, 10))
+    assert len(result.steps) == 2
+    U = result.completed.operator
+    current = Presentation(P.alphabet, P.order, U)
+    previous = set(result.steps[-1].branchings)
+    seeds = _seeds(
+        current, [b for b in critical_branchings(current) if b not in previous]
+    )
+    assert len(seeds) == 84
+    start = time.perf_counter()
+    family = normalisation(seeds, U)
+    elapsed = time.perf_counter() - start
+    assert len(family) == 1359
+    assert elapsed < 5.0
 
 
 def test_normalisation_rejects_zero_seed(order):
