@@ -5,7 +5,6 @@ from .completion import (
     CompletionResult,
     CompletionStep,
     complete,
-    completed_operator,
     normalisation,
 )
 from .fileformat import parse_presentation, serialize_presentation
@@ -40,7 +39,7 @@ from .reduction import (
     obstructions,
     single_rule,
 )
-from .words import Alphabet, DegLexOrder, Word, concat, factor_occurrences, overlaps
+from .words import Alphabet, DegLexOrder, Word, factor_occurrences, overlaps
 
 __version__ = "0.1.0"
 
@@ -57,8 +56,6 @@ __all__ = [
     "Word",
     "complement",
     "complete",
-    "completed_operator",
-    "concat",
     "coordinate_subspace_intersection",
     "critical_branchings",
     "extension_apply",

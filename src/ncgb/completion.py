@@ -154,7 +154,3 @@ def complete(P: Presentation, limits: CompletionLimits | None = None) -> Complet
 
     completed = Presentation(P.alphabet, P.order, op)
     return CompletionResult(completed=completed, steps=tuple(steps), status=status)
-
-
-def completed_operator(result: CompletionResult) -> ReductionOperator:
-    return result.completed.operator

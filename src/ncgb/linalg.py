@@ -16,9 +16,6 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .words import DegLexOrder, Word
 
-Scalar = Fraction
-
-
 class Polynomial:
     """Finite rational linear combination of words; immutable."""
 
@@ -97,10 +94,6 @@ class Polynomial:
             return "Polynomial(0)"
         parts = [f"{c}*{''.join(map(str, w)) or '1'}" for w, c in sorted(self._terms.items())]
         return "Polynomial(" + " + ".join(parts) + ")"
-
-
-def leading(f: Polynomial, order: DegLexOrder) -> tuple[Word, Fraction]:
-    return f.leading(order)
 
 
 def _add_multiple(row: dict, c: Fraction, other: Mapping, skip) -> None:

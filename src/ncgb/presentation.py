@@ -25,6 +25,8 @@ class Presentation:
     def __post_init__(self) -> None:
         if self.order.alphabet != self.alphabet:
             raise ValueError("order alphabet mismatch")
+        if self.operator.order != self.order:
+            raise ValueError("operator order mismatch")
         for w, p in self.operator.rules.items():
             for v in {w} | p.support():
                 if not self.alphabet.contains_word(v):
@@ -54,8 +56,6 @@ class CriticalBranching:
 
 def extension_apply(P: Presentation, n: int, m: int, w: Word) -> Polynomial:
     """Apply the operator to the middle factor, fixing an n-prefix and m-suffix."""
-    if (n, m) == (0, 0):
-        return P.operator.apply(Polynomial.monomial(w))
     if len(w) < n + m:
         return Polynomial.monomial(w)
     prefix, mid, suffix = w[:n], w[n : len(w) - m], w[len(w) - m :]
@@ -135,7 +135,4 @@ def is_confluent_presentation(P: Presentation) -> bool:
 
 def groebner_rules(P: Presentation) -> list[Polynomial]:
     """The rule vectors w - S(w), sorted by increasing leading word."""
-    return [
-        Polynomial.monomial(w) - p
-        for w, p in sorted(P.operator.rules.items(), key=lambda it: P.order.key(it[0]))
-    ]
+    return P.operator.kernel_basis()[::-1]

@@ -15,8 +15,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .linalg import (
     Polynomial,
+    _eliminate,
     coordinate_subspace_intersection,
-    reduced_basis,
     subspace_intersection,
 )
 from .words import DegLexOrder, Word
@@ -48,9 +48,6 @@ class ReductionOperator:
     def is_identity(self) -> bool:
         return not self._rules
 
-    def is_normal_word(self, w: Word) -> bool:
-        return w not in self._rules
-
     def apply_word(self, w: Word) -> Polynomial:
         p = self._rules.get(w)
         return Polynomial.monomial(w) if p is None else p
@@ -64,14 +61,15 @@ class ReductionOperator:
         return out
 
     def kernel_basis(self) -> list[Polynomial]:
-        """Reduced basis {w - T(w) : w reducible}, by decreasing leading word."""
-        vecs = [
-            Polynomial.monomial(w) - p
-            for w, p in sorted(
-                self._rules.items(), key=lambda it: self.order.key(it[0]), reverse=True
-            )
+        """Reduced basis {w - T(w) : w reducible}, by decreasing leading word.
+
+        This and ``ker_inv`` are the only conversions between rules and
+        kernel vectors.
+        """
+        return [
+            Polynomial({w: 1, **{u: -c for u, c in self._rules[w].items()}})
+            for w in sorted(self._rules, key=self.order.key, reverse=True)
         ]
-        return vecs
 
     def __eq__(self, other) -> bool:
         return (
@@ -92,11 +90,13 @@ def identity(order: DegLexOrder) -> ReductionOperator:
 
 
 def ker_inv(vectors: Iterable[Polynomial], order: DegLexOrder) -> ReductionOperator:
-    """The operator whose kernel is the span of ``vectors``."""
-    rules = {}
-    for e in reduced_basis(vectors, order):
-        lw, _ = e.leading(order)
-        rules[lw] = Polynomial.monomial(lw) - e
+    """The operator whose kernel is the span of ``vectors``: the reduced basis
+    has one monic row per pivot w, and the rule for w is w minus that row."""
+    pivots = _eliminate((v._terms for v in vectors), order.key)
+    rules = {
+        w: Polynomial({u: -c for u, c in pivots[w].items() if u != w})
+        for w in sorted(pivots, key=order.key, reverse=True)
+    }
     return ReductionOperator(order, rules)
 
 
@@ -131,20 +131,19 @@ def join(T1: ReductionOperator, T2: ReductionOperator) -> ReductionOperator:
 
 
 def family_ambient(family: Sequence[ReductionOperator]) -> list[Word]:
-    """Sorted union of the kernel supports of the members (increasing)."""
-    order = family[0].order
-    support: set[Word] = set()
-    for T in family:
-        for v in T.kernel_basis():
-            support |= v.support()
-    return sorted(support, key=order.key)
+    """Sorted union of the kernel supports of the members (increasing); the
+    vector w - T(w) is supported on w and the support of T(w)."""
+    support = {
+        u for T in family for w, p in T.rules.items() for u in (w, *p.support())
+    }
+    return sorted(support, key=family[0].order.key)
 
 
 def normal_form_words(
     family: Sequence[ReductionOperator], ambient: Iterable[Word]
 ) -> set[Word]:
     """Ambient words that are normal forms for every member."""
-    return {w for w in ambient if all(T.is_normal_word(w) for T in family)}
+    return set(ambient).difference(*(T.rules for T in family))
 
 
 def obstructions(

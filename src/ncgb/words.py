@@ -14,8 +14,6 @@ from typing import Iterable, Iterator
 
 Word = tuple[int, ...]
 
-LT, EQ, GT = -1, 0, 1
-
 
 @dataclass(frozen=True)
 class Alphabet:
@@ -55,14 +53,6 @@ class DegLexOrder:
     def key(self, w: Word):
         return (len(w), w)
 
-    def compare(self, u: Word, v: Word) -> int:
-        ku, kv = self.key(u), self.key(v)
-        if ku < kv:
-            return LT
-        if ku > kv:
-            return GT
-        return EQ
-
     def less(self, u: Word, v: Word) -> bool:
         return self.key(u) < self.key(v)
 
@@ -93,10 +83,6 @@ class _Descending:
     def __iter__(self) -> Iterator[Word]:
         while self._heap:
             yield heapq.heappop(self._heap)[2]
-
-
-def concat(u: Word, v: Word) -> Word:
-    return u + v
 
 
 def factor_occurrences(w: Word, u: Word) -> list[tuple[int, int]]:

@@ -10,7 +10,6 @@ from ncgb.completion import (
     CompletionLimits,
     _seeds,
     complete,
-    completed_operator,
     normalisation,
 )
 from ncgb.fileformat import parse_presentation
@@ -137,7 +136,6 @@ def test_complete_braided_example(ab, braided):
         w(ab, "yxx"): p(ab, "x.x.z"),
         w(ab, "yxxx"): p(ab, "x.x.x.y"),
     }
-    assert completed_operator(result) is result.completed.operator
 
 
 def test_complete_confluent_input_is_fixed_point(completed_braided):

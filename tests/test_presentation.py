@@ -46,6 +46,31 @@ def test_extension_apply_examples(ab, braided):
     assert extension_apply(braided, 0, 0, w(ab, "yz")) == p(ab, "x")
 
 
+def test_extension_apply_at_zero_offsets_is_operator(ab):
+    # At offsets (0, 0) the extension is the operator itself.
+    rng = random.Random(233)
+    for _ in range(30):
+        P = random_presentation(rng)
+        for word in all_words(P.alphabet, 4):
+            expected = P.operator.apply(Polynomial.monomial(word))
+            assert extension_apply(P, 0, 0, word) == expected
+
+
+def test_groebner_rules_match_rule_vectors():
+    rng = random.Random(239)
+    for _ in range(30):
+        P = random_presentation(rng)
+        rules = sorted(P.operator.rules.items(), key=lambda it: P.order.key(it[0]))
+        assert groebner_rules(P) == [Polynomial.monomial(u) - q for u, q in rules]
+
+
+def test_presentation_rejects_operator_order_mismatch(ab, order):
+    other = DegLexOrder(Alphabet(("x", "y")))
+    op = ker_inv([p(ab, "y.x - x")], other)
+    with pytest.raises(ValueError, match="operator order mismatch"):
+        Presentation(ab, order, op)
+
+
 def test_critical_branchings_braided(ab, braided):
     assert critical_branchings(braided) == [
         CriticalBranching(w(ab, "yzx"), (1, 0), (0, 1))

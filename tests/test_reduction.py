@@ -186,6 +186,62 @@ def test_kernel_bijection_random(ab, order):
         assert reduced_basis(vectors, order) == basis
 
 
+def _ker_inv_through_reduced_basis(vectors, order):
+    """Reference: each reduced basis vector e gives the rule lw(e) -> lw(e) - e."""
+    rules = {}
+    for e in reduced_basis(vectors, order):
+        lw, _ = e.leading(order)
+        rules[lw] = Polynomial.monomial(lw) - e
+    return ReductionOperator(order, rules)
+
+
+def test_ker_inv_matches_reduced_basis_path(ab, order):
+    rng = random.Random(131)
+    ambient = all_words(ab, 2)
+    assert ker_inv([], order) == _ker_inv_through_reduced_basis([], order)
+    for _ in range(200):
+        vectors = [random_polynomial(rng, ambient) for _ in range(rng.randint(1, 4))]
+        # Dependent rows: a multiple of one vector, a sum of two, a zero vector.
+        vectors.append(rng.choice(vectors).scale(rng.randint(-3, 3)))
+        vectors.append(rng.choice(vectors) + rng.choice(vectors))
+        vectors.insert(rng.randint(0, len(vectors)), Polynomial.zero())
+        rng.shuffle(vectors)
+        got = ker_inv(vectors, order)
+        assert got == _ker_inv_through_reduced_basis(vectors, order)
+        assert list(got.rules) == sorted(got.rules, key=order.key, reverse=True)
+
+
+def _random_family(rng, order, ambient):
+    # Few vectors over few words, so members often share reducible words.
+    return [random_operator(rng, order, ambient) for _ in range(rng.randint(1, 4))]
+
+
+def test_family_ambient_matches_kernel_supports(ab, order):
+    rng = random.Random(137)
+    ambient = all_words(ab, 2)[:8]
+    for _ in range(200):
+        family = _random_family(rng, order, ambient)
+        support = set()
+        for T in family:
+            for v in T.kernel_basis():
+                support |= v.support()
+        assert family_ambient(family) == sorted(support, key=order.key)
+
+
+def test_normal_form_words_matches_member_scan(ab, order):
+    rng = random.Random(139)
+    ambient = all_words(ab, 2)[:8]
+    shared = 0
+    for _ in range(200):
+        family = _random_family(rng, order, ambient)
+        keys = [w for T in family for w in T.rules]
+        shared += len(keys) > len(set(keys))
+        words = family_ambient(family) + rng.sample(all_words(ab, 3), 5)
+        expected = {w for w in words if all(w not in T.rules for T in family)}
+        assert normal_form_words(family, words) == expected
+    assert shared >= 50
+
+
 def test_operator_axioms_random(ab, order):
     rng = random.Random(103)
     ambient = all_words(ab, 2)
