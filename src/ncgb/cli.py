@@ -15,6 +15,7 @@ from . import completion, oracle
 from .completion import CompletionLimits, CompletionResult, complete
 from .fileformat import (
     format_polynomial,
+    format_rules,
     format_word,
     parse_polynomial,
     parse_presentation,
@@ -45,36 +46,24 @@ def _fmt_branching(P: Presentation, b) -> str:
 def _write_trace(path: str, P: Presentation, result: CompletionResult) -> None:
     lines = []
     for step in result.steps:
-        pres = Presentation(P.alphabet, P.order, step.operator_before)
         lines.append(f"step {step.index}")
         lines.append("  branchings:")
         old = set(step.old_branchings)
         for b in step.branchings:
             marker = " (old)" if b in old else ""
-            lines.append(f"    {_fmt_branching(pres, b)}{marker}")
+            lines.append(f"    {_fmt_branching(P, b)}{marker}")
         lines.append("  seeds:")
-        for f in step.spol_seeds:
-            lines.append(f"    {_fmt_poly(pres, f)}")
+        lines.extend(f"    {_fmt_poly(P, f)}" for f in step.spol_seeds)
         lines.append("  normalised family kernels:")
         for T in step.normalised_family:
-            for v in T.kernel_basis():
-                lines.append(f"    {_fmt_poly(pres, v)}")
-        lines.append("  complement rules:")
-        if step.complement_op.is_identity():
-            lines.append("    (identity)")
-        for w, p in sorted(
-            step.complement_op.rules.items(), key=lambda it: P.order.key(it[0])
+            lines.extend(f"    {_fmt_poly(P, v)}" for v in T.kernel_basis())
+        for title, op in (
+            ("complement rules", step.complement_op),
+            ("operator after", step.operator_after),
         ):
-            lines.append(
-                f"    {format_word(w, P.alphabet)} -> {_fmt_poly(pres, p)}"
-            )
-        lines.append("  operator after:")
-        for w, p in sorted(
-            step.operator_after.rules.items(), key=lambda it: P.order.key(it[0])
-        ):
-            lines.append(
-                f"    {format_word(w, P.alphabet)} -> {_fmt_poly(pres, p)}"
-            )
+            lines.append(f"  {title}:")
+            rules = format_rules(op, P.alphabet) or ["(identity)"]
+            lines.extend(f"    {r}" for r in rules)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -107,50 +107,40 @@ def _seeds(
 
 
 def complete(P: Presentation, limits: CompletionLimits | None = None) -> CompletionResult:
-    """Run the completion loop on a finite presentation, recording every step."""
-    limits = limits or CompletionLimits()
-    op = P.operator
-    d = 0
-    previous: set[CriticalBranching] = set()
-    current_pres = P
-    current = critical_branchings(current_pres)
-    seeds = _seeds(current_pres, current)
-    steps: list[CompletionStep] = []
-    status = CONVERGED
+    """Run the completion loop on a finite presentation, recording every step.
 
-    while previous != set(current):
-        if d >= limits.max_iterations:
-            status = ITERATION_CAP
-            break
-        family = normalisation(seeds, op)
+    The loop stops at the first step with no new critical branching.  The
+    meet only adds kernel vectors, so the keys only grow, and branchings
+    depend on the keys alone: each step's branchings contain the last
+    step's, and "no new branching" means "the same branchings".
+    """
+    limits = limits or CompletionLimits()
+    pres = P
+    previous: set[CriticalBranching] = set()
+    steps: list[CompletionStep] = []
+    while True:
+        current = critical_branchings(pres)
+        new = [b for b in current if b not in previous]
+        if not new:
+            return CompletionResult(pres, tuple(steps), CONVERGED)
+        if len(steps) >= limits.max_iterations:
+            return CompletionResult(pres, tuple(steps), ITERATION_CAP)
+        seeds = _seeds(pres, new)
+        family = normalisation(seeds, pres.operator)
         comp = complement(family)
-        op_next = meet([op, comp])
+        op_next = meet([pres.operator, comp])
         steps.append(
             CompletionStep(
-                index=d,
-                operator_before=op,
+                index=len(steps),
+                operator_before=pres.operator,
                 branchings=tuple(current),
-                old_branchings=tuple(
-                    b for b in current if b in previous
-                ),
+                old_branchings=tuple(b for b in current if b in previous),
                 spol_seeds=tuple(seeds),
                 normalised_family=tuple(family),
                 complement_op=comp,
                 operator_after=op_next,
             )
         )
+        pres, previous = Presentation(P.alphabet, P.order, op_next), set(current)
         if any(len(w) > limits.max_rule_degree for w in op_next.rules):
-            op = op_next
-            status = DEGREE_CAP
-            break
-        previous = set(current)
-        d += 1
-        op = op_next
-        current_pres = Presentation(P.alphabet, P.order, op)
-        current = critical_branchings(current_pres)
-        seeds = _seeds(
-            current_pres, [b for b in current if b not in previous]
-        )
-
-    completed = Presentation(P.alphabet, P.order, op)
-    return CompletionResult(completed=completed, steps=tuple(steps), status=status)
+            return CompletionResult(pres, tuple(steps), DEGREE_CAP)

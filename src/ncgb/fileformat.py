@@ -12,9 +12,9 @@ A presentation file looks like::
 Words are symbol sequences separated by ``.``; when every alphabet symbol
 is a single character the dots may be omitted on input.  ``1`` denotes the
 empty word.  Polynomials are written ``c1*w1 + c2*w2 - w3`` with rational
-coefficients ``p/q`` (a coefficient of 1 may be omitted) and ``0`` for the
-zero polynomial.  Output always uses dots and is canonical: parsing it back
-reproduces the presentation exactly.
+coefficients ``p/q``, ``q`` nonzero (a coefficient of 1 may be omitted),
+and ``0`` for the zero polynomial.  Output always uses dots and is
+canonical: parsing it back reproduces the presentation exactly.
 """
 
 from __future__ import annotations
@@ -24,11 +24,11 @@ from fractions import Fraction
 
 from .linalg import Polynomial
 from .presentation import Presentation
-from .reduction import ker_inv
+from .reduction import ReductionOperator, ker_inv
 from .words import Alphabet, DegLexOrder, Word
 
 _SYMBOL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
-_RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"[+-]?\d+(/\d*[1-9]\d*)?$")
 
 
 class ParseError(ValueError):
@@ -80,19 +80,15 @@ def parse_polynomial(text: str, alphabet: Alphabet, line: int = 0) -> Polynomial
         raise ParseError(f"malformed polynomial {text!r}", line)
     result = Polynomial.zero()
     for sign, term in zip(pieces[::2], pieces[1::2]):
-        if "*" in term:
-            coeff_text, _, word_text = term.partition("*")
-            coeff_text = coeff_text.strip()
-            if not _RATIONAL_RE.match(coeff_text):
-                raise ParseError(f"malformed rational {coeff_text!r}", line)
-            coeff = Fraction(coeff_text)
-            w = parse_word(word_text, alphabet, line)
-        elif _RATIONAL_RE.match(term):
-            coeff = Fraction(term)
-            w = ()
-        else:
-            coeff = Fraction(1)
-            w = parse_word(term, alphabet, line)
+        coeff_text, star, word_text = term.partition("*")
+        if not star:
+            # No symbol starts with a digit, so such a term is a constant.
+            coeff_text, word_text = (term, "1") if term[0].isdigit() else ("1", term)
+        coeff_text = coeff_text.strip()
+        if not _RATIONAL_RE.match(coeff_text):
+            raise ParseError(f"malformed rational {coeff_text!r}", line)
+        coeff = Fraction(coeff_text)
+        w = parse_word(word_text, alphabet, line)
         if sign == "-":
             coeff = -coeff
         result = result + Polynomial.monomial(w, coeff)
@@ -173,13 +169,19 @@ def parse_presentation(text: str) -> Presentation:
     return Presentation(alphabet=alphabet, order=order, operator=operator)
 
 
+def format_rules(op: ReductionOperator, alphabet: Alphabet) -> list[str]:
+    """One ``word -> image`` line per rule of ``op``, by increasing word."""
+    return [
+        f"{format_word(w, alphabet)} -> {format_polynomial(op.rules[w], alphabet, op.order)}"
+        for w in sorted(op.rules, key=op.order.key)
+    ]
+
+
 def serialize_presentation(P: Presentation) -> str:
     lines = [
         "alphabet: " + " ".join(P.alphabet.symbols),
         "order: deglex",
         "rules:",
+        *format_rules(P.operator, P.alphabet),
     ]
-    for w in sorted(P.operator.rules, key=P.order.key):
-        rhs = format_polynomial(P.operator.rules[w], P.alphabet, P.order)
-        lines.append(f"{format_word(w, P.alphabet)} -> {rhs}")
     return "\n".join(lines) + "\n"

@@ -4,6 +4,84 @@ from ncgb.cli import main
 
 from conftest import BRAIDED_TEXT, COMPLETED_BRAIDED_TEXT
 
+# The whole --trace report of the braided example, layout included.
+BRAIDED_TRACE = """\
+step 0
+  branchings:
+    (y.z.x, (1, 0), (0, 1))
+  seeds:
+    y.z.x - y.x.y
+    y.z.x - x.x
+  normalised family kernels:
+    y.z.x - y.x.y
+    y.z.x - x.x
+  complement rules:
+    y.x.y -> x.x
+  operator after:
+    y.z -> x
+    z.x -> x.y
+    y.x.y -> x.x
+step 1
+  branchings:
+    (y.z.x, (1, 0), (0, 1)) (old)
+    (y.x.y.z, (2, 0), (0, 1))
+    (y.x.y.x.y, (2, 0), (0, 2))
+  seeds:
+    y.x.y.z - y.x.x
+    y.x.y.z - x.x.z
+    y.x.y.x.y - y.x.x.x
+    y.x.y.x.y - x.x.x.y
+  normalised family kernels:
+    y.x.y.z - y.x.x
+    y.x.y.z - x.x.z
+    y.x.y.x.y - y.x.x.x
+    y.x.y.x.y - x.x.x.y
+  complement rules:
+    y.x.x -> x.x.z
+    y.x.x.x -> x.x.x.y
+  operator after:
+    y.z -> x
+    z.x -> x.y
+    y.x.x -> x.x.z
+    y.x.y -> x.x
+    y.x.x.x -> x.x.x.y
+step 2
+  branchings:
+    (y.z.x, (1, 0), (0, 1)) (old)
+    (y.x.x.x, (0, 1), (0, 0))
+    (y.x.y.z, (2, 0), (0, 1)) (old)
+    (y.x.y.x.x, (2, 0), (0, 2))
+    (y.x.y.x.y, (2, 0), (0, 2)) (old)
+    (y.x.y.x.x.x, (2, 0), (0, 3))
+  seeds:
+    y.x.x.x - x.x.z.x
+    y.x.x.x - x.x.x.y
+    y.x.y.x.x - y.x.x.x.z
+    y.x.y.x.x - x.x.x.x
+    y.x.y.x.x.x - y.x.x.x.x.y
+    y.x.y.x.x.x - x.x.x.x.x
+  normalised family kernels:
+    y.x.x.x - x.x.z.x
+    y.x.x.x - x.x.x.y
+    y.x.y.x.x - y.x.x.x.z
+    y.x.y.x.x - x.x.x.x
+    y.x.y.x.x.x - y.x.x.x.x.y
+    y.x.y.x.x.x - x.x.x.x.x
+    y.x.x.x.x.y - x.x.x.y.x.y
+    x.x.x.y.x.y - x.x.x.x.x
+    y.x.x.x.z - x.x.x.y.z
+    x.x.x.y.z - x.x.x.x
+    x.x.z.x - x.x.x.y
+  complement rules:
+    (identity)
+  operator after:
+    y.z -> x
+    z.x -> x.y
+    y.x.x -> x.x.z
+    y.x.y -> x.x
+    y.x.x.x -> x.x.x.y
+"""
+
 
 @pytest.fixture
 def braided_file(tmp_path):
@@ -59,6 +137,12 @@ def test_complete_trace(braided_file, tmp_path, capsys):
     assert "(identity)" in text
 
 
+def test_complete_trace_golden(braided_file, tmp_path):
+    trace = tmp_path / "trace.txt"
+    assert main(["complete", braided_file, "--trace", str(trace)]) == 0
+    assert trace.read_text() == BRAIDED_TRACE
+
+
 def test_check(braided_file, completed_file, capsys):
     assert main(["check", braided_file]) == 1
     out = capsys.readouterr().out
@@ -98,6 +182,16 @@ def test_parse_error_exit_code(tmp_path, capsys):
     bad.write_text("alphabet: x\norder: deglex\nrules:\nx.x - x\n")
     assert main(["check", str(bad)]) == 2
     assert "line 4" in capsys.readouterr().err
+
+
+def test_zero_denominator_exit_code(braided_file, tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("alphabet: x y\norder: deglex\nrules:\ny.x -> 1/0*x\n")
+    assert main(["complete", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("error: line 4: malformed rational")
+    for poly in ("3/0*x", "x - 2/0"):
+        assert main(["reduce", braided_file, poly]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_missing_file_exit_code(tmp_path, capsys):

@@ -211,3 +211,24 @@ def test_completion_soundness_random():
             vec = Polynomial.monomial(key) - image
             assert normal_form(result.completed, vec).is_zero()
     assert converged >= 10
+
+
+def test_steps_chain_branchings_random():
+    # The meet only adds keys, so each step's old branchings are exactly the
+    # step before's branchings, and a converged result has no new ones.  The
+    # draws are those of test_completion_soundness_random.
+    rng = random.Random(307)
+    limits = CompletionLimits(max_iterations=12, max_rule_degree=6)
+    converged = 0
+    for _ in range(25):
+        result = complete(random_presentation(rng), limits)
+        for i, step in enumerate(result.steps):
+            assert step.index == i
+            before = result.steps[i - 1].branchings if i else ()
+            assert set(step.old_branchings) == set(before)
+        if result.status == CONVERGED and result.steps:
+            converged += 1
+            assert set(critical_branchings(result.completed)) == set(
+                result.steps[-1].branchings
+            )
+    assert converged >= 10
