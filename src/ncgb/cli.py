@@ -11,7 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import completion, oracle
+from . import completion, fileformat, oracle
 from .completion import CompletionLimits, CompletionResult, complete
 from .fileformat import (
     format_polynomial,
@@ -101,7 +101,10 @@ def _cmd_check(args) -> int:
 
 def _cmd_reduce(args) -> int:
     P = _load(args.file)
-    f = parse_polynomial(args.polynomial, P.alphabet)
+    try:
+        f = parse_polynomial(args.polynomial, P.alphabet)
+    except fileformat.ParseError as exc:
+        raise ValueError(f"polynomial argument {args.polynomial!r}: {exc}") from None
     print(_fmt_poly(P, normal_form(P, f)))
     return 0
 

@@ -16,7 +16,6 @@ from .linalg import Polynomial
 from .presentation import (
     CriticalBranching,
     Presentation,
-    _leftmost_longest_factor,
     critical_branchings,
     extension_apply,
 )
@@ -63,16 +62,15 @@ def normalisation(
     seeds: list[Polynomial], U: ReductionOperator
 ) -> list[ReductionOperator]:
     """Turn seed polynomials into single-rule operators, expanding any
-    U-reducible support word into a further single-rule operator until all
-    remaining support words are U-normal.
+    U-reducible support word w into the rule w -> image of one rewriting
+    step at ``U.redex(w)``, until all remaining support words are U-normal.
+    That rule needs no elimination: w - image is monic with leading word w.
 
-    Selection is deterministic: always the greatest eligible word, then its
-    leftmost reducible factor with the longest key at that position.  An
-    expansion only adds words smaller than the one it expands, so the words
-    are taken from a deg-lex heap and each is matched once.  The seeds'
-    leading words are left out of the starting worklist only: one that turns
-    up in a later image is expanded like any other word.  The family is
-    deduplicated by hash, in order of first appearance.
+    The greatest eligible word goes first.  An expansion only adds smaller
+    words, so the words are taken from a deg-lex heap and each is matched
+    once.  The seeds' leading words are left out of the starting worklist
+    only: one that turns up in a later image is expanded like any other
+    word.  The family is deduplicated by hash, in order of first appearance.
     """
     order = U.order
     if any(f.is_zero() for f in seeds):
@@ -80,16 +78,13 @@ def normalisation(
     family = dict.fromkeys(single_rule(f, order) for f in seeds)
     lead_words = {f.leading(order)[0] for f in seeds}
     worklist = _Descending({w for f in seeds for w in f.support()} - lead_words)
-
-    keys = U.reducible_words()
-    max_len = max((len(k) for k in keys), default=0)
+    redex = U.redex
     for w in worklist:
-        hit = _leftmost_longest_factor(w, keys, max_len)
-        if hit is None:
+        if (hit := redex(w)) is None:
             continue
         i, key = hit
         image = U.rules[key].sandwich(w[:i], w[i + len(key) :])
-        family.setdefault(single_rule(Polynomial.monomial(w) - image, order))
+        family.setdefault(ReductionOperator(order, {w: image}))
         worklist.push(image.support())
     return list(family)
 

@@ -32,13 +32,12 @@ _RATIONAL_RE = re.compile(r"[+-]?\d+(/\d*[1-9]\d*)?$")
 
 
 class ParseError(ValueError):
-    def __init__(self, message: str, line: int, column: int = 0):
-        super().__init__(f"line {line}: {message}")
+    def __init__(self, message: str, line: int | None = None):
+        super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
-        self.column = column
 
 
-def parse_word(token: str, alphabet: Alphabet, line: int = 0) -> Word:
+def parse_word(token: str, alphabet: Alphabet, line: int | None = None) -> Word:
     token = token.strip()
     if not token:
         raise ParseError("empty word", line)
@@ -64,7 +63,7 @@ def format_word(w: Word, alphabet: Alphabet) -> str:
     return ".".join(alphabet.symbols[i] for i in w)
 
 
-def parse_polynomial(text: str, alphabet: Alphabet, line: int = 0) -> Polynomial:
+def parse_polynomial(text: str, alphabet: Alphabet, line: int | None = None) -> Polynomial:
     text = text.strip()
     if not text:
         raise ParseError("empty polynomial", line)

@@ -86,16 +86,6 @@ def s_polynomial(P: Presentation, b: CriticalBranching) -> Polynomial:
     return left - right
 
 
-def _leftmost_longest_factor(
-    w: Word, keys: set[Word], max_len: int
-) -> tuple[int, Word] | None:
-    for i in range(len(w)):
-        for k in range(min(max_len, len(w) - i), 0, -1):
-            if w[i : i + k] in keys:
-                return i, w[i : i + k]
-    return None
-
-
 def normal_form(P: Presentation, f: Polynomial) -> Polynomial:
     """Exhaustively rewrite ``f`` by the rules applied inside words.
 
@@ -104,20 +94,15 @@ def normal_form(P: Presentation, f: Polynomial) -> Polynomial:
     replaces a monomial by strictly smaller ones.
     """
     rules = P.operator.rules
-    keys = set(rules)
-    if not keys:
+    if not rules:
         return f
-    if () in keys:
+    if () in rules:
         # The only image smaller than the empty word is zero, so the rule
         # kills the unit and with it every word: w = w.1 rewrites to 0.
         return Polynomial.zero()
-    max_len = max(len(k) for k in keys)
+    redex = P.operator.redex
     while True:
-        hits = [
-            (w, hit)
-            for w in f.support()
-            if (hit := _leftmost_longest_factor(w, keys, max_len)) is not None
-        ]
+        hits = [(w, hit) for w in f.support() if (hit := redex(w)) is not None]
         if not hits:
             return f
         w, (i, key) = max(hits, key=lambda item: P.order.key(item[0]))

@@ -25,7 +25,7 @@ from .words import DegLexOrder, Word
 class ReductionOperator:
     """Idempotent projector given by an inter-reduced rule map ``word -> polynomial``."""
 
-    __slots__ = ("order", "_rules")
+    __slots__ = ("order", "_rules", "_max_key_len")
 
     def __init__(self, order: DegLexOrder, rules: Mapping[Word, Polynomial]):
         rules = dict(rules)
@@ -37,6 +37,7 @@ class ReductionOperator:
                 raise ValueError(f"rule map not inter-reduced at {w}")
         self.order = order
         self._rules = rules
+        self._max_key_len = max(map(len, rules), default=0)
 
     @property
     def rules(self) -> Mapping[Word, Polynomial]:
@@ -47,6 +48,16 @@ class ReductionOperator:
 
     def is_identity(self) -> bool:
         return not self._rules
+
+    def redex(self, w: Word) -> tuple[int, Word] | None:
+        """The leftmost position of ``w`` where a key occurs, with the longest
+        key there, or None when ``w`` is irreducible; ``()`` never matches."""
+        rules, max_len, n = self._rules, self._max_key_len, len(w)
+        for i in range(n):
+            for k in range(min(max_len, n - i), 0, -1):
+                if w[i : i + k] in rules:
+                    return i, w[i : i + k]
+        return None
 
     def apply_word(self, w: Word) -> Polynomial:
         p = self._rules.get(w)

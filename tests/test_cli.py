@@ -194,6 +194,13 @@ def test_zero_denominator_exit_code(braided_file, tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_reduce_argument_error_names_argument(braided_file, capsys):
+    for poly, message in (("3/0*x", "malformed rational '3/0'"), ("", "empty polynomial")):
+        assert main(["reduce", braided_file, poly]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: polynomial argument {poly!r}: {message}\n"
+
+
 def test_missing_file_exit_code(tmp_path, capsys):
     assert main(["check", str(tmp_path / "nope.txt")]) == 2
     assert "error" in capsys.readouterr().err

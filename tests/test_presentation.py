@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from ncgb.completion import complete
 from ncgb.fileformat import parse_presentation
 from ncgb.linalg import Polynomial
 from ncgb.presentation import (
@@ -165,6 +166,15 @@ def test_normal_form_examples(ab, completed_braided, braided):
     assert normal_form(completed_braided, untouched) == untouched
     assert normal_form(completed_braided, p(ab, "y.x.y.x.y")) == p(ab, "x.x.x.y")
     assert normal_form(braided, p(ab, "y.x.y")) == p(ab, "y.x.y")
+
+
+def test_normal_form_unit_ideal():
+    P = complete(
+        parse_presentation("alphabet: x y\norder: deglex\nrules:\nx.x -> 1\nx -> 2\n")
+    ).completed
+    assert () in P.operator.rules
+    for text in ("1", "x", "y.x.y - 3*x + 1/2", "y.y.y.y.y"):
+        assert normal_form(P, p(P.alphabet, text)).is_zero()
 
 
 def _all_normal_forms(P: Presentation, f: Polynomial, cap: int = 4000) -> set:

@@ -78,6 +78,48 @@ def test_apply_examples(ab, order, braid_op):
     assert T.apply(p(ab, "y.z.x - y.x.y")).is_zero()
 
 
+def test_redex_examples(ab, order):
+    def op(*rules):
+        return ReductionOperator(order, {w(ab, k): p(ab, v) for k, v in rules})
+
+    # A key further left beats a longer key further right.
+    T = op(("zx", "x"), ("xyy", "y"))
+    assert T.redex(w(ab, "zxyy")) == (0, w(ab, "zx"))
+    assert T.redex(w(ab, "yxyy")) == (1, w(ab, "xyy"))
+    # Of the keys at one position, the longest wins.
+    T = op(("yx", "x"), ("yxx", "x.x"))
+    assert T.redex(w(ab, "zyxx")) == (1, w(ab, "yxx"))
+    assert T.redex(w(ab, "zyxz")) == (1, w(ab, "yx"))
+    assert T.redex(w(ab, "xxzz")) is None
+    assert identity(order).redex(w(ab, "xyz")) is None
+    # A rule keyed by the empty word is never matched.
+    T = op(("1", "0"), ("x", "0"))
+    assert T.redex(()) is None
+    assert T.redex(w(ab, "yz")) is None
+    assert T.redex(w(ab, "yx")) == (1, w(ab, "x"))
+
+
+def test_redex_matches_brute_force(ab, order):
+    rng = random.Random(331)
+    ambient = all_words(ab, 3)
+    words = all_words(ab, 5)
+    for _ in range(60):
+        T = random_operator(rng, order, ambient)
+        for word in rng.sample(words, 40):
+            hits = [
+                (i, key)
+                for key in T.rules
+                if key
+                for i in range(len(word) - len(key) + 1)
+                if word[i : i + len(key)] == key
+            ]
+            expected = None
+            if hits:
+                first = min(i for i, _ in hits)
+                expected = (first, max((k for i, k in hits if i == first), key=len))
+            assert T.redex(word) == expected
+
+
 def test_leq_examples(ab, order, family_f0):
     lower = meet(family_f0)
     assert leq(lower, family_f0[0])
