@@ -12,8 +12,6 @@ from .linalg import (
     Polynomial,
     coordinate_subspace_intersection,
     reduced_basis,
-    subspace_intersection,
-    subspace_sum,
 )
 from .presentation import (
     CriticalBranching,
@@ -79,6 +77,4 @@ __all__ = [
     "s_polynomial",
     "serialize_presentation",
     "single_rule",
-    "subspace_intersection",
-    "subspace_sum",
 ]

@@ -2,11 +2,12 @@
 
 Subspaces of the span of a finite word set are represented by reduced
 bases: monic vectors with pairwise distinct leading words, fully
-auto-reduced, sorted by decreasing leading word.  One sparse eliminator
-computes every basis here: the reduced basis, the sum, the Zassenhaus
-intersection and the coordinate intersection differ only in the column
-order they hand it.  All arithmetic uses ``fractions.Fraction`` so
-results are bit-exact.
+auto-reduced, sorted by decreasing leading word.  One sparse eliminator,
+``_eliminate``, computes every basis in the package; its column order is
+its only parameter.  Here it backs the reduced basis and the intersection
+with a coordinate subspace; the lattice in ``reduction`` hands it rows
+directly.  All arithmetic uses ``fractions.Fraction`` so results are
+bit-exact.
 """
 
 from __future__ import annotations
@@ -137,28 +138,6 @@ def reduced_basis(vectors: Iterable[Polynomial], order: DegLexOrder) -> list[Pol
     """Unique monic auto-reduced basis of the span, by decreasing leading word."""
     pivots = _eliminate((v._terms for v in vectors), order.key)
     return [Polynomial(pivots[w]) for w in sorted(pivots, key=order.key, reverse=True)]
-
-
-def subspace_sum(
-    A: Sequence[Polynomial], B: Sequence[Polynomial], order: DegLexOrder
-) -> list[Polynomial]:
-    return reduced_basis(list(A) + list(B), order)
-
-
-def subspace_intersection(
-    A: Sequence[Polynomial], B: Sequence[Polynomial], order: DegLexOrder
-) -> list[Polynomial]:
-    """Reduced basis of span(A) ∩ span(B), by the Zassenhaus block trick.
-
-    Rows (a | a) and (b | 0) are eliminated with every first-block column
-    above every second-block one; the rows left with a second-block pivot
-    are zero on the first block and span the intersection.
-    """
-    rows = [{(t, w): c for w, c in a.items() for t in (1, 0)} for a in A]
-    rows += [{(1, w): c for w, c in b.items()} for b in B]
-    pivots = _eliminate(rows, lambda col: (col[0], order.key(col[1])))
-    common = sorted((w for t, w in pivots if t == 0), key=order.key, reverse=True)
-    return [Polynomial({w: c for (_, w), c in pivots[(0, lw)].items()}) for lw in common]
 
 
 def coordinate_subspace_intersection(

@@ -6,19 +6,18 @@ sent to a strictly smaller polynomial whose support contains no reducible
 word.  The identity on every unlisted word is implicit.  Operators are in
 bijection with finite-dimensional subspaces (their kernels), which is what
 realises the lattice operations: meet by kernel sum, join by kernel
-intersection.
+intersection, and the complement by intersection with a coordinate
+subspace.  Each of ``ker_inv``, ``meet``, ``join`` and ``complement`` is
+one pass of ``linalg._eliminate``.  ``_kernel_rows`` is the only crossing
+from rules to rows and ``_operator`` the only crossing back.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from fractions import Fraction
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from .linalg import (
-    Polynomial,
-    _eliminate,
-    coordinate_subspace_intersection,
-    subspace_intersection,
-)
+from .linalg import Polynomial, _eliminate, coordinate_subspace_intersection
 from .words import DegLexOrder, Word
 
 
@@ -43,12 +42,6 @@ class ReductionOperator:
     def rules(self) -> Mapping[Word, Polynomial]:
         return self._rules
 
-    def reducible_words(self) -> set[Word]:
-        return set(self._rules)
-
-    def is_identity(self) -> bool:
-        return not self._rules
-
     def redex(self, w: Word) -> tuple[int, Word] | None:
         """The leftmost position of ``w`` where a key occurs, with the longest
         key there, or None when ``w`` is irreducible; ``()`` never matches."""
@@ -72,15 +65,8 @@ class ReductionOperator:
         return out
 
     def kernel_basis(self) -> list[Polynomial]:
-        """Reduced basis {w - T(w) : w reducible}, by decreasing leading word.
-
-        This and ``ker_inv`` are the only conversions between rules and
-        kernel vectors.
-        """
-        return [
-            Polynomial({w: 1, **{u: -c for u, c in self._rules[w].items()}})
-            for w in sorted(self._rules, key=self.order.key, reverse=True)
-        ]
+        """Reduced basis {w - T(w) : w reducible}, by decreasing leading word."""
+        return [Polynomial(row) for row in _kernel_rows([self])]
 
     def __eq__(self, other) -> bool:
         return (
@@ -100,15 +86,40 @@ def identity(order: DegLexOrder) -> ReductionOperator:
     return ReductionOperator(order, {})
 
 
-def ker_inv(vectors: Iterable[Polynomial], order: DegLexOrder) -> ReductionOperator:
-    """The operator whose kernel is the span of ``vectors``: the reduced basis
-    has one monic row per pivot w, and the rule for w is w minus that row."""
-    pivots = _eliminate((v._terms for v in vectors), order.key)
+def _kernel_rows(family: Iterable[ReductionOperator]) -> Iterator[dict]:
+    """The row {w: 1, u: -c, ...} of the kernel vector w - T(w) of each rule,
+    by decreasing w within each member; the only crossing from rules to rows.
+    The pivot is ``Fraction(1)``, so eliminating the rows stays exact."""
+    for T in family:
+        rules = T.rules
+        for w in sorted(rules, key=T.order.key, reverse=True):
+            yield {w: Fraction(1), **{u: -c for u, c in rules[w].items()}}
+
+
+def _operator(pivots: Mapping[Word, Mapping], order: DegLexOrder) -> ReductionOperator:
+    """The operator whose kernel has the monic, inter-reduced rows ``pivots``
+    (keyed by pivot) as basis: the rule for pivot w is w minus its row.  The
+    only crossing from rows to rules."""
     rules = {
         w: Polynomial({u: -c for u, c in pivots[w].items() if u != w})
         for w in sorted(pivots, key=order.key, reverse=True)
     }
     return ReductionOperator(order, rules)
+
+
+def _order(family: Sequence[ReductionOperator], operation: str) -> DegLexOrder:
+    """The order shared by every member of a nonempty family."""
+    if not family:
+        raise ValueError(f"{operation} of an empty family")
+    order = family[0].order
+    if any(T.order != order for T in family):
+        raise ValueError("operator order mismatch")
+    return order
+
+
+def ker_inv(vectors: Iterable[Polynomial], order: DegLexOrder) -> ReductionOperator:
+    """The operator whose kernel is the span of ``vectors``."""
+    return _operator(_eliminate((v._terms for v in vectors), order.key), order)
 
 
 def kernel_basis(T: ReductionOperator) -> list[Polynomial]:
@@ -124,21 +135,32 @@ def single_rule(f: Polynomial, order: DegLexOrder) -> ReductionOperator:
 
 def leq(T1: ReductionOperator, T2: ReductionOperator) -> bool:
     """T1 below T2: the kernel of T2 is contained in the kernel of T1."""
+    _order([T1, T2], "leq")
     return all(T1.apply(v).is_zero() for v in T2.kernel_basis())
 
 
 def meet(family: Sequence[ReductionOperator]) -> ReductionOperator:
-    """Greatest lower bound: ker_inv of the sum of the kernels."""
-    if not family:
-        raise ValueError("meet of an empty family")
-    vectors = [v for T in family for v in T.kernel_basis()]
-    return ker_inv(vectors, family[0].order)
+    """Greatest lower bound: the kernel is the sum of the kernels."""
+    order = _order(family, "meet")
+    return _operator(_eliminate(_kernel_rows(family), order.key), order)
 
 
 def join(T1: ReductionOperator, T2: ReductionOperator) -> ReductionOperator:
-    """Least upper bound: ker_inv of the intersection of the kernels."""
-    common = subspace_intersection(T1.kernel_basis(), T2.kernel_basis(), T1.order)
-    return ker_inv(common, T1.order)
+    """Least upper bound: the kernel is the intersection of the kernels.
+
+    Zassenhaus block trick: the rows (a | a) of T1 and (b | 0) of T2 are
+    eliminated with every first-block column (tag 1) above every second-block
+    one (tag 0).  The rows left with a tag-0 pivot are zero on the first
+    block and are the reduced basis of the intersection.
+    """
+    order = _order([T1, T2], "join")
+    rows = [{(t, w): c for w, c in a.items() for t in (1, 0)} for a in _kernel_rows([T1])]
+    rows += [{(1, w): c for w, c in b.items()} for b in _kernel_rows([T2])]
+    pivots = _eliminate(rows, lambda col: (col[0], order.key(col[1])))
+    common = {
+        w: {u: c for (_, u), c in row.items()} for (t, w), row in pivots.items() if t == 0
+    }
+    return _operator(common, order)
 
 
 def family_ambient(family: Sequence[ReductionOperator]) -> list[Word]:
@@ -177,11 +199,11 @@ def complement(family: Sequence[ReductionOperator]) -> ReductionOperator:
     Only the finite-dimensional part matters: the kernel of the result is the
     set of vectors in the sum of the members' kernels that are supported
     entirely on normal-form words.  One elimination of the members' kernel
-    vectors gives it; the meet itself is never formed.
+    vectors gives its reduced basis, whose pivots are the leading words; the
+    meet itself is never formed.
     """
-    if not family:
-        raise ValueError("complement of an empty family")
-    order = family[0].order
+    order = _order(family, "complement")
     allowed = normal_form_words(family, family_ambient(family))
     vectors = [v for T in family for v in T.kernel_basis()]
-    return ker_inv(coordinate_subspace_intersection(vectors, allowed, order), order)
+    basis = coordinate_subspace_intersection(vectors, allowed, order)
+    return _operator({e.leading(order)[0]: e._terms for e in basis}, order)

@@ -7,8 +7,6 @@ from ncgb.linalg import (
     Polynomial,
     coordinate_subspace_intersection,
     reduced_basis,
-    subspace_intersection,
-    subspace_sum,
 )
 
 from conftest import all_words, dense_rank, in_span, p, random_polynomial, w
@@ -70,46 +68,6 @@ def test_reduced_basis_is_idempotent_and_preserves_span(ab, order):
             for other in basis:
                 if other is not e:
                     assert other.leading(order)[0] not in e.support()
-
-
-def test_subspace_sum_examples(ab, order):
-    A = [p(ab, "y.z.x - x.x")]
-    B = [p(ab, "y.z.x - y.x.y")]
-    assert subspace_sum(A, B, order) == [
-        p(ab, "y.z.x - x.x"),
-        p(ab, "y.x.y - x.x"),
-    ]
-    assert subspace_sum(A, [], order) == A
-    C = [p(ab, "x - y")]
-    assert subspace_sum(C, C, order) == reduced_basis(C, order)
-
-
-def test_subspace_intersection_examples(ab, order):
-    A = [p(ab, "y.z.x - x.x")]
-    B = [p(ab, "y.z.x - y.x.y")]
-    assert subspace_intersection(A, B, order) == []
-    AB = reduced_basis(A + B, order)
-    assert subspace_intersection(AB, AB, order) == AB
-    sub = [p(ab, "y.x.y - x.x")]
-    assert subspace_intersection(AB, sub, order) == sub
-
-
-def test_grassmann_identity(ab, order):
-    rng = random.Random(33)
-    ambient = all_words(ab, 2)[:8]
-    for _ in range(100):
-        A = reduced_basis(
-            [random_polynomial(rng, ambient) for _ in range(rng.randint(0, 4))], order
-        )
-        B = reduced_basis(
-            [random_polynomial(rng, ambient) for _ in range(rng.randint(0, 4))], order
-        )
-        total = subspace_sum(A, B, order)
-        common = subspace_intersection(A, B, order)
-        assert len(A) + len(B) == len(total) + len(common)
-        for v in common:
-            assert in_span(v, A, order)
-            assert in_span(v, B, order)
 
 
 def test_coordinate_subspace_intersection_examples(ab, order):

@@ -95,7 +95,7 @@ def test_critical_branchings_self_overlap():
 
 def _branchings_by_definition(P: Presentation) -> set[CriticalBranching]:
     """Brute force over Definition-style quadruples on all short words."""
-    keys = P.operator.reducible_words()
+    keys = set(P.operator.rules)
     if not keys:
         return set()
     max_len = 2 * max(len(k) for k in keys)
@@ -179,7 +179,7 @@ def test_normal_form_unit_ideal():
 
 def _all_normal_forms(P: Presentation, f: Polynomial, cap: int = 4000) -> set:
     """Exhaustive rewriting oracle: every maximal one-step sequence endpoint."""
-    keys = P.operator.reducible_words()
+    keys = set(P.operator.rules)
     results = set()
     stack = [f]
     seen = set()
@@ -226,7 +226,7 @@ def test_normal_form_idempotent_and_irreducible(ab):
         )
         nf = normal_form(P, f)
         assert normal_form(P, nf) == nf
-        keys = P.operator.reducible_words()
+        keys = set(P.operator.rules)
         for word in nf.support():
             for i in range(len(word)):
                 for k in range(1, len(word) - i + 1):

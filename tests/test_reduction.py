@@ -1,7 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
 
+from ncgb import linalg, reduction
 from ncgb.linalg import Polynomial, coordinate_subspace_intersection, reduced_basis
 from ncgb.reduction import (
     ReductionOperator,
@@ -19,7 +21,17 @@ from ncgb.reduction import (
     single_rule,
 )
 
-from conftest import all_words, in_span, p, random_operator, random_polynomial, w
+from ncgb.words import Alphabet, DegLexOrder
+
+from conftest import (
+    all_words,
+    dense_rank,
+    in_span,
+    p,
+    random_operator,
+    random_polynomial,
+    w,
+)
 
 
 @pytest.fixture
@@ -60,7 +72,7 @@ def test_ker_inv_examples(ab, order):
     assert T.rules == {w(ab, "yzx"): p(ab, "x.x")}
     T = ker_inv([p(ab, "y.z.x - x.x"), p(ab, "y.z.x - y.x.y")], order)
     assert T.rules == {w(ab, "yzx"): p(ab, "x.x"), w(ab, "yxy"): p(ab, "x.x")}
-    assert ker_inv([], order).is_identity()
+    assert not ker_inv([], order).rules
 
 
 def test_kernel_basis_examples(ab, order, braid_op):
@@ -146,9 +158,116 @@ def test_meet_empty_family_raises():
 
 
 def test_join_examples(ab, order, family_f0):
-    assert join(family_f0[0], family_f0[1]).is_identity()
+    assert not join(family_f0[0], family_f0[1]).rules
     assert join(family_f0[0], family_f0[0]) == family_f0[0]
-    assert join(family_f0[0], identity(order)).is_identity()
+    assert not join(family_f0[0], identity(order)).rules
+
+
+def test_meet_kernel_is_sum_examples(ab, order):
+    A = [p(ab, "y.z.x - x.x")]
+    B = [p(ab, "y.z.x - y.x.y")]
+    assert meet([ker_inv(A, order), ker_inv(B, order)]).kernel_basis() == [
+        p(ab, "y.z.x - x.x"),
+        p(ab, "y.x.y - x.x"),
+    ]
+    assert meet([ker_inv(A, order), ker_inv([], order)]).kernel_basis() == A
+    C = ker_inv([p(ab, "x - y")], order)
+    assert meet([C, C]).kernel_basis() == [p(ab, "y - x")]
+
+
+def test_join_kernel_is_intersection_examples(ab, order):
+    A = [p(ab, "y.z.x - x.x")]
+    B = [p(ab, "y.z.x - y.x.y")]
+    assert join(ker_inv(A, order), ker_inv(B, order)).kernel_basis() == []
+    AB = ker_inv(A + B, order)
+    assert AB.kernel_basis() == [p(ab, "y.z.x - x.x"), p(ab, "y.x.y - x.x")]
+    assert join(AB, AB).kernel_basis() == AB.kernel_basis()
+    sub = [p(ab, "y.x.y - x.x")]
+    assert join(AB, ker_inv(sub, order)).kernel_basis() == sub
+
+
+def test_meet_join_grassmann_identity(ab, order):
+    # Kernels: meet gives the sum and join the intersection; the dense
+    # oracle gives the rank of the sum and membership of the intersection.
+    rng = random.Random(33)
+    ambient = all_words(ab, 2)[:8]
+    for _ in range(100):
+        A = reduced_basis(
+            [random_polynomial(rng, ambient) for _ in range(rng.randint(0, 4))], order
+        )
+        B = reduced_basis(
+            [random_polynomial(rng, ambient) for _ in range(rng.randint(0, 4))], order
+        )
+        T, U = ker_inv(A, order), ker_inv(B, order)
+        total = meet([T, U]).kernel_basis()
+        common = join(T, U).kernel_basis()
+        assert len(A) + len(B) == len(total) + len(common)
+        assert len(total) == dense_rank(A + B, order)
+        for v in common:
+            assert in_span(v, A, order)
+            assert in_span(v, B, order)
+
+
+def test_lattice_rejects_operator_order_mismatch(ab, order):
+    other = DegLexOrder(Alphabet(("a", "b")))
+    T = ker_inv([p(ab, "y.z.x - x.x")], order)
+    U = ker_inv([Polynomial({(1, 0): 1, (0,): -1})], other)
+    calls = [
+        lambda: meet([T, U]),
+        lambda: meet([U, T, T]),
+        lambda: join(T, U),
+        lambda: join(U, T),
+        lambda: complement([T, U]),
+        lambda: complement([identity(other), T]),
+        lambda: leq(T, U),
+        lambda: leq(U, T),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="operator order mismatch"):
+            call()
+
+
+def test_lattice_results_are_exact(ab, order):
+    # Coefficients stay Fractions, and every kernel vector of a result lies
+    # in the spans it must lie in, by the dense oracle: a float pivot
+    # (1 / 1 == 1.0) would give inexact coefficients.
+    rng = random.Random(151)
+    ambient = all_words(ab, 2)[:8]
+    for _ in range(100):
+        T, U = (random_operator(rng, order, ambient) for _ in range(2))
+        A, B = T.kernel_basis(), U.kernel_basis()
+        vectors = [random_polynomial(rng, ambient) for _ in range(3)]
+        for op, spans in (
+            (ker_inv(vectors, order), [vectors]),
+            (meet([T, U]), [A + B]),
+            (join(T, U), [A, B]),
+            (complement([T, U]), [A + B]),
+        ):
+            for image in op.rules.values():
+                assert all(type(c) is Fraction for _, c in image.items())
+            for v in op.kernel_basis():
+                assert all(in_span(v, span, order) for span in spans)
+
+
+def test_lattice_operations_eliminate_once(ab, order, braid_op, family_f0, monkeypatch):
+    calls = []
+
+    def counting(rows, key):
+        calls.append(key)
+        return eliminate(rows, key)
+
+    eliminate = linalg._eliminate
+    monkeypatch.setattr(linalg, "_eliminate", counting)
+    monkeypatch.setattr(reduction, "_eliminate", counting)
+    for operation in (
+        lambda: ker_inv(braid_op.kernel_basis(), order),
+        lambda: meet([braid_op, *family_f0]),
+        lambda: join(braid_op, family_f0[0]),
+        lambda: complement(family_f0),
+    ):
+        calls.clear()
+        operation()
+        assert len(calls) == 1
 
 
 def test_normal_form_words_examples(ab, order, braid_op, family_f0):
@@ -321,7 +440,7 @@ def test_leq_implies_normal_form_inclusion(ab, order):
         T, U = (random_operator(rng, order, ambient) for _ in range(2))
         lower = meet([T, U])
         assert leq(lower, T)
-        assert lower.reducible_words() >= T.reducible_words()
+        assert set(lower.rules) >= set(T.rules)
 
 
 def test_complement_axioms_random(ab, order):
@@ -334,7 +453,7 @@ def test_complement_axioms_random(ab, order):
         C = complement(family)
         lower = meet(family)
         assert meet([lower, C]) == lower
-        assert obstructions(family, family_ambient(family)) <= C.reducible_words()
+        assert obstructions(family, family_ambient(family)) <= set(C.rules)
         assert is_confluent_family(family + [C])
 
 
@@ -351,7 +470,14 @@ def test_complement_matches_meet_then_intersect(ab, order):
         kernel = coordinate_subspace_intersection(
             meet(family).kernel_basis(), allowed, order
         )
-        assert complement(family) == ker_inv(kernel, order)
+        got = complement(family)
+        assert got == ker_inv(kernel, order)
+        # The definition: the join of the meet with the operator whose
+        # kernel is spanned by the family-normal-form words.
+        words = ker_inv([Polynomial.monomial(u) for u in allowed], order)
+        expected = join(meet(family), words)
+        assert got == expected
+        assert list(got.rules) == list(expected.rules)
 
 
 def test_church_rosser_on_confluent_families(ab, order):

@@ -36,7 +36,7 @@ def reference_normalisation(seeds, U):
         worklist |= f.support()
         lead_words.add(f.leading(order)[0])
     worklist -= lead_words
-    keys = U.reducible_words()
+    keys = set(U.rules)
     max_len = max((len(k) for k in keys), default=0)
     while True:
         eligible = [
