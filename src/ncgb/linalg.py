@@ -4,10 +4,11 @@ Subspaces of the span of a finite word set are represented by reduced
 bases: monic vectors with pairwise distinct leading words, fully
 auto-reduced, sorted by decreasing leading word.  One sparse eliminator,
 ``_eliminate``, computes every basis in the package; its column order is
-its only parameter.  Here it backs the reduced basis and the intersection
-with a coordinate subspace; the lattice in ``reduction`` hands it rows
-directly.  All arithmetic uses ``fractions.Fraction`` so results are
-bit-exact.
+its only parameter.  It takes its rows by increasing pivot, and the rows
+it returns do not depend on the order they are given in.  Here it backs
+the reduced basis and the intersection with a coordinate subspace; the
+lattice in ``reduction`` hands it rows directly.  All arithmetic uses
+``fractions.Fraction`` so results are bit-exact.
 """
 
 from __future__ import annotations
@@ -113,11 +114,13 @@ def _eliminate(rows: Iterable[Mapping], key: Callable) -> dict:
 
     The pivot of a row is its greatest column under ``key``.  Returns the
     monic, fully inter-reduced rows keyed by pivot: no row holds another
-    row's pivot.
+    row's pivot.  The rows are taken by increasing pivot, so a new pivot
+    seldom occurs in the rows before it.  The reduced echelon form is
+    unique, so the rows returned, as maps from column to coefficient, do
+    not depend on the order ``rows`` come in.
     """
     pivots: dict = {}
-    for row in rows:
-        row = dict(row)
+    for row in sorted((dict(r) for r in rows if r), key=lambda r: key(max(r, key=key))):
         # Pivot rows hold no other pivot, so one pass over them reduces.
         for col in [col for col in row if col in pivots]:
             _add_multiple(row, -row.pop(col), pivots[col], col)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .linalg import Polynomial, _eliminate, coordinate_subspace_intersection
+from .linalg import Polynomial, _add_multiple, _eliminate, coordinate_subspace_intersection
 from .words import DegLexOrder, Word
 
 
@@ -58,11 +58,11 @@ class ReductionOperator:
 
     def apply(self, f: Polynomial) -> Polynomial:
         """Linear image of ``f``; already a fixed point since rules are inter-reduced."""
-        out = Polynomial.zero()
+        out: dict = {}
         for w, c in f.items():
             p = self._rules.get(w)
-            out = out + (Polynomial.monomial(w, c) if p is None else p.scale(c))
-        return out
+            _add_multiple(out, c, {w: 1} if p is None else p._terms, None)
+        return Polynomial(out)
 
     def kernel_basis(self) -> list[Polynomial]:
         """Reduced basis {w - T(w) : w reducible}, by decreasing leading word."""

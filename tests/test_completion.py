@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 
@@ -12,7 +13,7 @@ from ncgb.completion import (
     complete,
     normalisation,
 )
-from ncgb.fileformat import parse_presentation
+from ncgb.fileformat import parse_presentation, serialize_presentation
 from ncgb.linalg import Polynomial
 from ncgb.presentation import (
     Presentation,
@@ -119,6 +120,20 @@ def test_normalisation_heavy_step_is_fast():
     elapsed = time.perf_counter() - start
     assert len(family) == 1359
     assert elapsed < 5.0
+
+
+def test_heavy_completion_is_fast():
+    # With the eliminator's rows in normalisation order, every new pivot
+    # back-reduced the rows before it and this run took about 140 s.
+    P = parse_presentation(HEAVY_STEP_TEXT)
+    start = time.perf_counter()
+    result = complete(P, CompletionLimits(10, 5))
+    elapsed = time.perf_counter() - start
+    assert result.status == DEGREE_CAP
+    assert len(result.completed.operator.rules) == 38
+    text = serialize_presentation(result.completed)
+    assert hashlib.sha256(text.encode()).hexdigest().startswith("d9cbe50fcfc5086f")
+    assert elapsed < 30
 
 
 def test_normalisation_rejects_zero_seed(order):

@@ -5,6 +5,8 @@ import pytest
 
 from ncgb.linalg import (
     Polynomial,
+    _add_multiple,
+    _eliminate,
     coordinate_subspace_intersection,
     reduced_basis,
 )
@@ -68,6 +70,66 @@ def test_reduced_basis_is_idempotent_and_preserves_span(ab, order):
             for other in basis:
                 if other is not e:
                     assert other.leading(order)[0] not in e.support()
+
+
+def _eliminate_in_given_order(rows, key):
+    """Reference: the eliminator taking its rows in the order they come."""
+    pivots: dict = {}
+    for row in rows:
+        row = dict(row)
+        for col in [col for col in row if col in pivots]:
+            _add_multiple(row, -row.pop(col), pivots[col], col)
+        if not row:
+            continue
+        pivot = max(row, key=key)
+        inv = 1 / row[pivot]
+        row = {col: c * inv for col, c in row.items()}
+        for other in pivots.values():
+            c = other.pop(pivot, 0)
+            if c:
+                _add_multiple(other, -c, row, pivot)
+        pivots[pivot] = row
+    return pivots
+
+
+def _random_rows(rng, columns):
+    """Sparse Fraction rows, with empty rows, duplicates and combinations of
+    earlier rows, which reduce to zero."""
+    rows = []
+    for _ in range(rng.randint(0, 12)):
+        kind = rng.random()
+        if kind < 0.1:
+            rows.append({})
+        elif kind < 0.25 and rows:
+            rows.append(dict(rng.choice(rows)))
+        elif kind < 0.4 and rows:
+            combo: dict = {}
+            for row in rng.sample(rows, min(2, len(rows))):
+                c = Fraction(rng.choice([-3, -1, 2]), rng.randint(1, 3))
+                _add_multiple(combo, c, row, None)
+            rows.append(combo)
+        else:
+            cols = rng.sample(columns, rng.randint(1, min(5, len(columns))))
+            rows.append({col: Fraction(rng.randint(-6, 6) or 1, rng.randint(1, 4)) for col in cols})
+    return rows
+
+
+def test_eliminate_is_independent_of_row_order(ab, order):
+    rng = random.Random(808)
+    words = all_words(ab, 3)
+    allowed = set(rng.sample(words, len(words) // 2))
+    orders = [
+        (words, order.key),
+        (words, lambda u: (u not in allowed, order.key(u))),
+        ([(t, u) for t in (0, 1) for u in words], lambda col: (col[0], order.key(col[1]))),
+    ]
+    assert _eliminate([], order.key) == {}
+    for columns, key in orders:
+        for _ in range(150):
+            rows = _random_rows(rng, columns)
+            got = _eliminate(rows, key)
+            assert got == _eliminate_in_given_order(rows, key)
+            assert all(type(c) is Fraction for row in got.values() for c in row.values())
 
 
 def test_coordinate_subspace_intersection_examples(ab, order):

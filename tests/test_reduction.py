@@ -90,6 +90,34 @@ def test_apply_examples(ab, order, braid_op):
     assert T.apply(p(ab, "y.z.x - y.x.y")).is_zero()
 
 
+def _apply_term_by_term(T, f):
+    """Reference: the sum of the images of the terms, one Polynomial each."""
+    out = Polynomial.zero()
+    for u, c in f.items():
+        image = T.rules.get(u)
+        out = out + (Polynomial.monomial(u, c) if image is None else image.scale(c))
+    return out
+
+
+def test_apply_matches_term_by_term_sum(ab, order):
+    # z cancels at y.x and comes back with the last term, after x.
+    T = ReductionOperator(order, {w(ab, "xy"): p(ab, "z"), w(ab, "yx"): p(ab, "z")})
+    cases = [(T, p(ab, "x.y + x - y.x + z"))]
+    rng = random.Random(613)
+    ambient = all_words(ab, 3)
+    for _ in range(200):
+        T = random_operator(rng, order, ambient, max_vectors=6)
+        f = random_polynomial(rng, ambient, max_terms=8)
+        # Kernel vectors make terms cancel; their sum's image is zero.
+        for v in rng.sample(T.kernel_basis(), min(2, len(T.rules))):
+            f = f + v.scale(rng.randint(-2, 2))
+        cases.append((T, f))
+    for T, f in cases:
+        got, expected = T.apply(f), _apply_term_by_term(T, f)
+        assert list(got.items()) == list(expected.items())
+        assert all(type(c) is Fraction for _, c in got.items())
+
+
 def test_redex_examples(ab, order):
     def op(*rules):
         return ReductionOperator(order, {w(ab, k): p(ab, v) for k, v in rules})
