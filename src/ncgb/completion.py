@@ -84,7 +84,7 @@ def normalisation(
             continue
         i, key = hit
         image = U.rules[key].sandwich(w[:i], w[i + len(key) :])
-        family.setdefault(ReductionOperator(order, {w: image}))
+        family.setdefault(ReductionOperator._trusted(order, {w: image}))
         worklist.push(image.support())
     return list(family)
 

@@ -7,13 +7,16 @@ auto-reduced, sorted by decreasing leading word.  One sparse eliminator,
 its only parameter.  It takes its rows by increasing pivot, and the rows
 it returns do not depend on the order they are given in.  Here it backs
 the reduced basis and the intersection with a coordinate subspace; the
-lattice in ``reduction`` hands it rows directly.  All arithmetic uses
-``fractions.Fraction`` so results are bit-exact.
+lattice in ``reduction`` hands it rows directly.  Arithmetic is exact:
+polynomials hold ``fractions.Fraction`` coefficients, and ``_eliminate``
+clears each row's denominators, eliminates primitive integer rows on
+Python ints, and makes ``Fraction``s only for the monic rows it returns.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .words import DegLexOrder, Word
@@ -31,6 +34,14 @@ class Polynomial:
                 if c:
                     clean[tuple(w)] = c
         object.__setattr__(self, "_terms", clean)
+
+    @classmethod
+    def _trusted(cls, terms: dict[Word, Fraction]) -> "Polynomial":
+        """The polynomial on ``terms``, a dict the engine built that already
+        holds nonzero ``Fraction``s under tuple words; taken as it is."""
+        self = cls.__new__(cls)
+        object.__setattr__(self, "_terms", terms)
+        return self
 
     @classmethod
     def zero(cls) -> "Polynomial":
@@ -56,24 +67,33 @@ class Polynomial:
         return bool(self._terms)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
+        # Not _add_multiple(terms, 1, ...): ``1 * c`` and ``0 + c`` each build
+        # a new Fraction, and a word new to ``terms`` can take ``c`` as it is.
         terms = dict(self._terms)
         for w, c in other._terms.items():
-            terms[w] = terms.get(w, Fraction(0)) + c
-        return Polynomial(terms)
+            if w in terms:
+                c += terms[w]
+                if not c:
+                    del terms[w]
+                    continue
+            terms[w] = c
+        return Polynomial._trusted(terms)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial({w: -c for w, c in self._terms.items()})
+        return Polynomial._trusted({w: -c for w, c in self._terms.items()})
 
     def scale(self, c) -> "Polynomial":
         c = Fraction(c)
-        return Polynomial({w: c * cw for w, cw in self._terms.items()})
+        if not c:
+            return Polynomial._trusted({})
+        return Polynomial._trusted({w: c * cw for w, cw in self._terms.items()})
 
     def sandwich(self, left: Word, right: Word) -> "Polynomial":
         """Multiply by the word ``left`` on the left and ``right`` on the right."""
-        return Polynomial({left + w + right: c for w, c in self._terms.items()})
+        return Polynomial._trusted({left + w + right: c for w, c in self._terms.items()})
 
     def leading(self, order: DegLexOrder) -> tuple[Word, Fraction]:
         if not self._terms:
@@ -98,7 +118,7 @@ class Polynomial:
         return "Polynomial(" + " + ".join(parts) + ")"
 
 
-def _add_multiple(row: dict, c: Fraction, other: Mapping, skip) -> None:
+def _add_multiple(row: dict, c: Fraction | int, other: Mapping, skip) -> None:
     """row += c * other, on every column of ``other`` except ``skip``."""
     for col, d in other.items():
         if col != skip:
@@ -109,38 +129,77 @@ def _add_multiple(row: dict, c: Fraction, other: Mapping, skip) -> None:
                 del row[col]
 
 
+def _integer_row(row: Mapping) -> dict:
+    """``row`` times the lcm of its denominators: an integer row on its line."""
+    m = lcm(*(c.denominator for c in row.values()))
+    return {col: c.numerator * (m // c.denominator) for col, c in row.items()}
+
+
+def _scale(row: dict, a: int) -> None:
+    """row *= a, in place."""
+    if a != 1:
+        for col in row:
+            row[col] *= a
+
+
+def _primitive(row: dict) -> None:
+    """Divide the integer ``row`` by the gcd of its entries, in place."""
+    g = gcd(*row.values())
+    if g != 1:
+        for col in row:
+            row[col] //= g
+
+
 def _eliminate(rows: Iterable[Mapping], key: Callable) -> dict:
     """Sparse exact reduced row echelon form of ``rows``.
 
     The pivot of a row is its greatest column under ``key``.  Returns the
-    monic, fully inter-reduced rows keyed by pivot: no row holds another
-    row's pivot.  The rows are taken by increasing pivot, so a new pivot
-    seldom occurs in the rows before it.  The reduced echelon form is
-    unique, so the rows returned, as maps from column to coefficient, do
-    not depend on the order ``rows`` come in.
+    monic, fully inter-reduced ``Fraction`` rows keyed by pivot: no row
+    holds another row's pivot.  The rows are taken by increasing pivot, so
+    a new pivot seldom occurs in the rows before it.  The reduced echelon
+    form is unique, so the rows returned, as maps from column to
+    coefficient, do not depend on the order ``rows`` come in.
+
+    Inside, the rows are integer rows on the same lines, eliminated
+    fraction-free on Python ints: a row is scaled by the least integer that
+    makes its subtractions of pivot rows integral, and is then divided by
+    the gcd of its entries.  Only the rows returned are divided by their
+    pivot entries into ``Fraction``s.
     """
     pivots: dict = {}
-    for row in sorted((dict(r) for r in rows if r), key=lambda r: key(max(r, key=key))):
-        # Pivot rows hold no other pivot, so one pass over them reduces.
-        for col in [col for col in row if col in pivots]:
-            _add_multiple(row, -row.pop(col), pivots[col], col)
-        if not row:
-            continue
+    for row in sorted((_integer_row(r) for r in rows if r), key=lambda r: key(max(r, key=key))):
+        cols = [col for col in row if col in pivots]
+        if cols:
+            # Pivot rows hold no other pivot, so subtracting one leaves the
+            # row's entries at the other pivots as they are: one scaling by m
+            # makes every subtraction integral.
+            m = lcm(*(pivots[col][col] // gcd(row[col], pivots[col][col]) for col in cols))
+            _scale(row, m)
+            for col in cols:
+                _add_multiple(row, -(row.pop(col) // pivots[col][col]), pivots[col], col)
+            if not row:
+                continue
         pivot = max(row, key=key)
-        inv = 1 / row[pivot]
-        row = {col: c * inv for col, c in row.items()}
+        _primitive(row)
+        v = row[pivot]
         for other in pivots.values():
             c = other.pop(pivot, 0)
             if c:
-                _add_multiple(other, -c, row, pivot)
+                g = gcd(c, v)
+                _scale(other, v // g)
+                _add_multiple(other, -(c // g), row, pivot)
+                _primitive(other)
         pivots[pivot] = row
-    return pivots
+    return {
+        pivot: {col: Fraction(c, row[pivot]) for col, c in row.items()}
+        for pivot, row in pivots.items()
+    }
 
 
 def reduced_basis(vectors: Iterable[Polynomial], order: DegLexOrder) -> list[Polynomial]:
     """Unique monic auto-reduced basis of the span, by decreasing leading word."""
     pivots = _eliminate((v._terms for v in vectors), order.key)
-    return [Polynomial(pivots[w]) for w in sorted(pivots, key=order.key, reverse=True)]
+    return [Polynomial._trusted(pivots[w]) for w in sorted(pivots, key=order.key, reverse=True)]
 
 
 def coordinate_subspace_intersection(
@@ -158,4 +217,4 @@ def coordinate_subspace_intersection(
         (a._terms for a in A), lambda w: (w not in allowed, order.key(w))
     )
     kept = sorted((w for w in pivots if w in allowed), key=order.key, reverse=True)
-    return [Polynomial(pivots[w]) for w in kept]
+    return [Polynomial._trusted(pivots[w]) for w in kept]

@@ -38,6 +38,16 @@ class ReductionOperator:
         self._rules = rules
         self._max_key_len = max(map(len, rules), default=0)
 
+    @classmethod
+    def _trusted(cls, order: DegLexOrder, rules: dict[Word, Polynomial]) -> "ReductionOperator":
+        """The operator of a rule map the engine built, inter-reduced with
+        images smaller than their words by construction; taken as it is."""
+        self = cls.__new__(cls)
+        self.order = order
+        self._rules = rules
+        self._max_key_len = max(map(len, rules), default=0)
+        return self
+
     @property
     def rules(self) -> Mapping[Word, Polynomial]:
         return self._rules
@@ -62,11 +72,11 @@ class ReductionOperator:
         for w, c in f.items():
             p = self._rules.get(w)
             _add_multiple(out, c, {w: 1} if p is None else p._terms, None)
-        return Polynomial(out)
+        return Polynomial._trusted(out)
 
     def kernel_basis(self) -> list[Polynomial]:
         """Reduced basis {w - T(w) : w reducible}, by decreasing leading word."""
-        return [Polynomial(row) for row in _kernel_rows([self])]
+        return [Polynomial._trusted(row) for row in _kernel_rows([self])]
 
     def __eq__(self, other) -> bool:
         return (
@@ -89,7 +99,8 @@ def identity(order: DegLexOrder) -> ReductionOperator:
 def _kernel_rows(family: Iterable[ReductionOperator]) -> Iterator[dict]:
     """The row {w: 1, u: -c, ...} of the kernel vector w - T(w) of each rule,
     by decreasing w within each member; the only crossing from rules to rows.
-    The pivot is ``Fraction(1)``, so eliminating the rows stays exact."""
+    The pivot is ``Fraction(1)``, not ``1``, because ``kernel_basis`` hands
+    these rows to ``Polynomial`` as they are."""
     for T in family:
         rules = T.rules
         for w in sorted(rules, key=T.order.key, reverse=True):
@@ -101,10 +112,10 @@ def _operator(pivots: Mapping[Word, Mapping], order: DegLexOrder) -> ReductionOp
     (keyed by pivot) as basis: the rule for pivot w is w minus its row.  The
     only crossing from rows to rules."""
     rules = {
-        w: Polynomial({u: -c for u, c in pivots[w].items() if u != w})
+        w: Polynomial._trusted({u: -c for u, c in pivots[w].items() if u != w})
         for w in sorted(pivots, key=order.key, reverse=True)
     }
-    return ReductionOperator(order, rules)
+    return ReductionOperator._trusted(order, rules)
 
 
 def _order(family: Sequence[ReductionOperator], operation: str) -> DegLexOrder:
@@ -166,10 +177,11 @@ def join(T1: ReductionOperator, T2: ReductionOperator) -> ReductionOperator:
 def family_ambient(family: Sequence[ReductionOperator]) -> list[Word]:
     """Sorted union of the kernel supports of the members (increasing); the
     vector w - T(w) is supported on w and the support of T(w)."""
+    order = _order(family, "family_ambient")
     support = {
         u for T in family for w, p in T.rules.items() for u in (w, *p.support())
     }
-    return sorted(support, key=family[0].order.key)
+    return sorted(support, key=order.key)
 
 
 def normal_form_words(

@@ -1,6 +1,8 @@
+import dataclasses
 import hashlib
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -16,13 +18,14 @@ from ncgb.completion import (
 from ncgb.fileformat import parse_presentation, serialize_presentation
 from ncgb.linalg import Polynomial
 from ncgb.presentation import (
+    CriticalBranching,
     Presentation,
     critical_branchings,
     is_confluent_presentation,
     normal_form,
     s_polynomial,
 )
-from ncgb.reduction import identity, ker_inv, leq, meet, single_rule
+from ncgb.reduction import ReductionOperator, identity, ker_inv, leq, meet, single_rule
 from ncgb.words import Alphabet, DegLexOrder
 
 from conftest import p, random_presentation, w
@@ -244,3 +247,48 @@ def test_steps_chain_branchings_random():
                 result.steps[-1].branchings
             )
     assert converged >= 10
+
+
+def _assert_exact(x):
+    """Every word stored in ``x`` is a tuple and every coefficient a nonzero
+    ``Fraction``; ``x`` is a polynomial, an operator, a branching, or a
+    tuple of them."""
+    if isinstance(x, Polynomial):
+        for word_, c in x.items():
+            assert type(word_) is tuple
+            assert type(c) is Fraction and c != 0
+    elif isinstance(x, ReductionOperator):
+        for key, image in x.rules.items():
+            assert type(key) is tuple
+            _assert_exact(image)
+        assert x._max_key_len == max(map(len, x.rules), default=0)
+    elif isinstance(x, CriticalBranching):
+        assert type(x.source) is tuple
+    else:
+        assert type(x) is tuple
+        for y in x:
+            _assert_exact(y)
+
+
+def test_engine_built_objects_hold_nonzero_fractions():
+    # The engine builds its polynomials and operators without checking them
+    # again, so only this walk sees an int, a float or a zero coefficient
+    # slip in.  The draws are those of test_completion_soundness_random.
+    rng = random.Random(307)
+    limits = CompletionLimits(max_iterations=12, max_rule_degree=6)
+    for _ in range(25):
+        result = complete(random_presentation(rng), limits)
+        for step in result.steps:
+            for field in dataclasses.fields(step):
+                if field.name != "index":
+                    _assert_exact(getattr(step, field.name))
+        T = result.completed.operator
+        _assert_exact(T)
+        _assert_exact(tuple(T.kernel_basis()))
+        polys = [f for step in result.steps for f in step.spol_seeds]
+        for key, image in T.rules.items():
+            f = Polynomial.monomial(key) - image
+            polys.append(f)
+            _assert_exact((f.sandwich(key[:1], key[1:]), -f, f + image, f + -f, f.scale(0)))
+        for f in polys:
+            _assert_exact((T.apply(f), normal_form(result.completed, f)))

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -114,8 +115,34 @@ def _random_rows(rng, columns):
     return rows
 
 
+def _rescaled(rng, rows, key):
+    """The same lines, three ways the integer rows inside ``_eliminate`` must
+    undo: each row times a rational whose numerator and denominator exceed
+    2**64, times an integer that leaves its cleared row a content above 1,
+    and negated where that makes its pivot entry negative."""
+    def big():
+        n = 2**65 + rng.getrandbits(64)
+        return Fraction(rng.choice([-1, 1]) * (n + 1), n)
+
+    def content(row):
+        m = lcm(*(c.denominator for c in row.values()))
+        return m * rng.randint(2, 30)
+
+    def sign(row):
+        return -1 if row[max(row, key=key)] > 0 else 1
+
+    def times(row, k):
+        return {col: c * k for col, c in row.items()}
+
+    return [
+        [times(r, scale(r)) if r else r for r in rows]
+        for scale in (lambda r: big(), content, sign)
+    ]
+
+
 def test_eliminate_is_independent_of_row_order(ab, order):
     rng = random.Random(808)
+    scaler = random.Random(809)
     words = all_words(ab, 3)
     allowed = set(rng.sample(words, len(words) // 2))
     orders = [
@@ -127,9 +154,11 @@ def test_eliminate_is_independent_of_row_order(ab, order):
     for columns, key in orders:
         for _ in range(150):
             rows = _random_rows(rng, columns)
-            got = _eliminate(rows, key)
-            assert got == _eliminate_in_given_order(rows, key)
-            assert all(type(c) is Fraction for row in got.values() for c in row.values())
+            expected = _eliminate_in_given_order(rows, key)
+            for given in (rows, *_rescaled(scaler, rows, key)):
+                got = _eliminate(given, key)
+                assert got == _eliminate_in_given_order(given, key) == expected
+                assert all(type(c) is Fraction for row in got.values() for c in row.values())
 
 
 def test_coordinate_subspace_intersection_examples(ab, order):

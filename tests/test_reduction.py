@@ -185,6 +185,12 @@ def test_meet_empty_family_raises():
         meet([])
 
 
+def test_family_ambient_empty_family_raises():
+    for call in (family_ambient, is_confluent_family):
+        with pytest.raises(ValueError, match="family_ambient of an empty family"):
+            call([])
+
+
 def test_join_examples(ab, order, family_f0):
     assert not join(family_f0[0], family_f0[1]).rules
     assert join(family_f0[0], family_f0[0]) == family_f0[0]
