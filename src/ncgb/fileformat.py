@@ -122,6 +122,8 @@ def parse_presentation(text: str) -> Presentation:
         if not stripped:
             continue
         if stripped.startswith("alphabet:"):
+            if alphabet is not None:
+                raise ParseError("duplicate alphabet declaration", lineno)
             symbols = stripped[len("alphabet:") :].split()
             if not symbols:
                 raise ParseError("empty alphabet", lineno)
@@ -134,6 +136,8 @@ def parse_presentation(text: str) -> Presentation:
             section = None
         elif stripped.startswith("order:"):
             kind = stripped[len("order:") :].strip()
+            if order is not None:
+                raise ParseError("duplicate order declaration", lineno)
             if kind != "deglex":
                 raise ParseError(f"unknown order kind {kind!r}", lineno)
             if alphabet is None:

@@ -3,12 +3,11 @@
 Subspaces of the span of a finite word set are represented by reduced
 bases: monic vectors with pairwise distinct leading words, fully
 auto-reduced, sorted by decreasing leading word.  One sparse eliminator,
-``_eliminate``, computes every basis in the package; its column order is
+``eliminate``, computes every basis in the package; its column order is
 its only parameter.  It takes its rows by increasing pivot, and the rows
-it returns do not depend on the order they are given in.  Here it backs
-the reduced basis and the intersection with a coordinate subspace; the
-lattice in ``reduction`` hands it rows directly.  Arithmetic is exact:
-polynomials hold ``fractions.Fraction`` coefficients, and ``_eliminate``
+it returns do not depend on the order they are given in.  Every lattice
+operation in ``reduction`` is one call of it on rows.  Arithmetic is
+exact: polynomials hold ``Fraction`` coefficients, and ``eliminate``
 clears each row's denominators, eliminates primitive integer rows on
 Python ints, and makes ``Fraction``s only for the monic rows it returns.
 """
@@ -150,7 +149,7 @@ def _primitive(row: dict) -> None:
             row[col] //= g
 
 
-def _eliminate(rows: Iterable[Mapping], key: Callable) -> dict:
+def eliminate(rows: Iterable[Mapping], key: Callable) -> dict:
     """Sparse exact reduced row echelon form of ``rows``.
 
     The pivot of a row is its greatest column under ``key``.  Returns the
@@ -198,7 +197,7 @@ def _eliminate(rows: Iterable[Mapping], key: Callable) -> dict:
 
 def reduced_basis(vectors: Iterable[Polynomial], order: DegLexOrder) -> list[Polynomial]:
     """Unique monic auto-reduced basis of the span, by decreasing leading word."""
-    pivots = _eliminate((v._terms for v in vectors), order.key)
+    pivots = eliminate((v._terms for v in vectors), order.key)
     return [Polynomial._trusted(pivots[w]) for w in sorted(pivots, key=order.key, reverse=True)]
 
 
@@ -210,10 +209,11 @@ def coordinate_subspace_intersection(
     Every disallowed word is ranked above every allowed one, so the rows
     whose pivot is allowed are supported inside ``allowed`` and span the
     intersection.  On allowed words the ranking is deg-lex, so they are
-    already its reduced basis.
+    already its reduced basis.  No engine code calls this; it is the
+    reference ``complement`` is tested against, and the benchmark names it.
     """
     allowed = set(allowed)
-    pivots = _eliminate(
+    pivots = eliminate(
         (a._terms for a in A), lambda w: (w not in allowed, order.key(w))
     )
     kept = sorted((w for w in pivots if w in allowed), key=order.key, reverse=True)

@@ -6,10 +6,11 @@ sent to a strictly smaller polynomial whose support contains no reducible
 word.  The identity on every unlisted word is implicit.  Operators are in
 bijection with finite-dimensional subspaces (their kernels), which is what
 realises the lattice operations: meet by kernel sum, join by kernel
-intersection, and the complement by intersection with a coordinate
-subspace.  Each of ``ker_inv``, ``meet``, ``join`` and ``complement`` is
-one pass of ``linalg._eliminate``.  ``_kernel_rows`` is the only crossing
-from rules to rows and ``_operator`` the only crossing back.
+intersection, and the complement by intersection with the normal-form
+words, which on the family ambient are the non-keys: its elimination
+ranks the keys first.  Each of ``ker_inv``, ``meet``, ``join`` and
+``complement`` is one pass of ``linalg.eliminate``; ``_kernel_rows`` is
+the only crossing from rules to rows and ``_operator`` the only one back.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .linalg import Polynomial, _add_multiple, _eliminate, coordinate_subspace_intersection
+from .linalg import Polynomial, _add_multiple, eliminate
 from .words import DegLexOrder, Word
 
 
@@ -130,7 +131,7 @@ def _order(family: Sequence[ReductionOperator], operation: str) -> DegLexOrder:
 
 def ker_inv(vectors: Iterable[Polynomial], order: DegLexOrder) -> ReductionOperator:
     """The operator whose kernel is the span of ``vectors``."""
-    return _operator(_eliminate((v._terms for v in vectors), order.key), order)
+    return _operator(eliminate((v._terms for v in vectors), order.key), order)
 
 
 def kernel_basis(T: ReductionOperator) -> list[Polynomial]:
@@ -153,7 +154,7 @@ def leq(T1: ReductionOperator, T2: ReductionOperator) -> bool:
 def meet(family: Sequence[ReductionOperator]) -> ReductionOperator:
     """Greatest lower bound: the kernel is the sum of the kernels."""
     order = _order(family, "meet")
-    return _operator(_eliminate(_kernel_rows(family), order.key), order)
+    return _operator(eliminate(_kernel_rows(family), order.key), order)
 
 
 def join(T1: ReductionOperator, T2: ReductionOperator) -> ReductionOperator:
@@ -167,7 +168,7 @@ def join(T1: ReductionOperator, T2: ReductionOperator) -> ReductionOperator:
     order = _order([T1, T2], "join")
     rows = [{(t, w): c for w, c in a.items() for t in (1, 0)} for a in _kernel_rows([T1])]
     rows += [{(1, w): c for w, c in b.items()} for b in _kernel_rows([T2])]
-    pivots = _eliminate(rows, lambda col: (col[0], order.key(col[1])))
+    pivots = eliminate(rows, lambda col: (col[0], order.key(col[1])))
     common = {
         w: {u: c for (_, u), c in row.items()} for (t, w), row in pivots.items() if t == 0
     }
@@ -175,13 +176,9 @@ def join(T1: ReductionOperator, T2: ReductionOperator) -> ReductionOperator:
 
 
 def family_ambient(family: Sequence[ReductionOperator]) -> list[Word]:
-    """Sorted union of the kernel supports of the members (increasing); the
-    vector w - T(w) is supported on w and the support of T(w)."""
+    """Sorted union of the supports of the members' kernel rows (increasing)."""
     order = _order(family, "family_ambient")
-    support = {
-        u for T in family for w, p in T.rules.items() for u in (w, *p.support())
-    }
-    return sorted(support, key=order.key)
+    return sorted({u for row in _kernel_rows(family) for u in row}, key=order.key)
 
 
 def normal_form_words(
@@ -195,9 +192,7 @@ def obstructions(
     family: Sequence[ReductionOperator], ambient: Iterable[Word]
 ) -> set[Word]:
     """Words normal for every member but reducible for the meet."""
-    ambient = list(ambient)
-    lower = meet(family)
-    return normal_form_words(family, ambient) - normal_form_words([lower], ambient)
+    return normal_form_words(family, ambient) & set(meet(family).rules)
 
 
 def is_confluent_family(family: Sequence[ReductionOperator]) -> bool:
@@ -209,13 +204,13 @@ def complement(family: Sequence[ReductionOperator]) -> ReductionOperator:
     family-normal-form words.
 
     Only the finite-dimensional part matters: the kernel of the result is the
-    set of vectors in the sum of the members' kernels that are supported
-    entirely on normal-form words.  One elimination of the members' kernel
-    vectors gives its reduced basis, whose pivots are the leading words; the
-    meet itself is never formed.
+    set of vectors in the sum of the members' kernels supported entirely on
+    normal-form words.  One elimination of the members' kernel rows, with
+    every key ranked above every other word, gives it as the rows whose
+    pivot is not a key: every column of those rows is a word of the family
+    ambient, where the keys are exactly the words that are not normal forms.
     """
     order = _order(family, "complement")
-    allowed = normal_form_words(family, family_ambient(family))
-    vectors = [v for T in family for v in T.kernel_basis()]
-    basis = coordinate_subspace_intersection(vectors, allowed, order)
-    return _operator({e.leading(order)[0]: e._terms for e in basis}, order)
+    keys = set().union(*(T.rules for T in family))
+    pivots = eliminate(_kernel_rows(family), lambda w: (w in keys, order.key(w)))
+    return _operator({w: row for w, row in pivots.items() if w not in keys}, order)

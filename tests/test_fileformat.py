@@ -145,6 +145,12 @@ def test_parse_presentation_errors_report_lines():
         ("alphabet:\n", "empty alphabet", 1),
         ("alphabet: x x\n", "duplicate", 1),
         ("alphabet: x 2y\n", "invalid symbol", 1),
+        (
+            "alphabet: x y\nalphabet: x y z\norder: deglex\nrules:\nz -> x\n",
+            "duplicate alphabet declaration",
+            2,
+        ),
+        ("alphabet: x\norder: deglex\norder: deglex\n", "duplicate order declaration", 3),
         ("alphabet: x\norder: lex\n", "unknown order", 2),
         ("alphabet: x\n", "missing order", 1),
         ("alphabet: x\norder: deglex\nstuff\n", "unexpected line", 3),

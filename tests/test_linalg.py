@@ -7,8 +7,8 @@ import pytest
 from ncgb.linalg import (
     Polynomial,
     _add_multiple,
-    _eliminate,
     coordinate_subspace_intersection,
+    eliminate,
     reduced_basis,
 )
 
@@ -116,7 +116,7 @@ def _random_rows(rng, columns):
 
 
 def _rescaled(rng, rows, key):
-    """The same lines, three ways the integer rows inside ``_eliminate`` must
+    """The same lines, three ways the integer rows inside ``eliminate`` must
     undo: each row times a rational whose numerator and denominator exceed
     2**64, times an integer that leaves its cleared row a content above 1,
     and negated where that makes its pivot entry negative."""
@@ -150,13 +150,13 @@ def test_eliminate_is_independent_of_row_order(ab, order):
         (words, lambda u: (u not in allowed, order.key(u))),
         ([(t, u) for t in (0, 1) for u in words], lambda col: (col[0], order.key(col[1]))),
     ]
-    assert _eliminate([], order.key) == {}
+    assert eliminate([], order.key) == {}
     for columns, key in orders:
         for _ in range(150):
             rows = _random_rows(rng, columns)
             expected = _eliminate_in_given_order(rows, key)
             for given in (rows, *_rescaled(scaler, rows, key)):
-                got = _eliminate(given, key)
+                got = eliminate(given, key)
                 assert got == _eliminate_in_given_order(given, key) == expected
                 assert all(type(c) is Fraction for row in got.values() for c in row.values())
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ncgb import linalg, reduction
+from ncgb.completion import CompletionLimits, complete
 from ncgb.linalg import Polynomial, coordinate_subspace_intersection, reduced_basis
 from ncgb.reduction import (
     ReductionOperator,
@@ -30,6 +31,7 @@ from conftest import (
     p,
     random_operator,
     random_polynomial,
+    random_presentation,
     w,
 )
 
@@ -290,9 +292,9 @@ def test_lattice_operations_eliminate_once(ab, order, braid_op, family_f0, monke
         calls.append(key)
         return eliminate(rows, key)
 
-    eliminate = linalg._eliminate
-    monkeypatch.setattr(linalg, "_eliminate", counting)
-    monkeypatch.setattr(reduction, "_eliminate", counting)
+    eliminate = linalg.eliminate
+    monkeypatch.setattr(linalg, "eliminate", counting)
+    monkeypatch.setattr(reduction, "eliminate", counting)
     for operation in (
         lambda: ker_inv(braid_op.kernel_basis(), order),
         lambda: meet([braid_op, *family_f0]),
@@ -492,14 +494,23 @@ def test_complement_axioms_random(ab, order):
 
 
 def test_complement_matches_meet_then_intersect(ab, order):
-    # complement() eliminates the members' kernel vectors directly; the
+    # complement() eliminates the members' kernel rows directly; the
     # definition it replaces first forms the meet and intersects its kernel.
+    # Besides small random families, the inputs are the normalised family of
+    # every step of seeded random completions, up to 219 members whose keys
+    # recur in other members' images.
     rng = random.Random(113)
     ambient = all_words(ab, 2)[:8]
-    for _ in range(60):
-        family = [
-            random_operator(rng, order, ambient) for _ in range(rng.randint(1, 3))
-        ]
+    families = [
+        [random_operator(rng, order, ambient) for _ in range(rng.randint(1, 3))]
+        for _ in range(60)
+    ]
+    rng = random.Random(307)
+    for _ in range(25):
+        result = complete(random_presentation(rng), CompletionLimits(12, 6))
+        families += [list(step.normalised_family) for step in result.steps]
+    for family in families:
+        order = family[0].order
         allowed = normal_form_words(family, family_ambient(family))
         kernel = coordinate_subspace_intersection(
             meet(family).kernel_basis(), allowed, order
