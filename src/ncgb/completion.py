@@ -3,9 +3,13 @@
 Each iteration collects the S-polynomial seeds of the new critical
 branchings, normalises them into a family of single-rule operators, and
 meets the current operator with the complement of that family.  The
-complement absorbs all the seeds in one batch of linear elimination
-rather than one at a time.  The loop stops when no new branchings
-appear; caps convert potential non-termination into a status flag.
+complement absorbs all the seeds in one batch rather than one at a time,
+and it is the step's only elimination: the family's rows are reduced
+against one reducer row per key by substitution, and only the residuals
+are eliminated, as in F4.  Building the family and meeting the
+complement into the operator are substitutions too.  The loop stops when
+no new branchings appear; caps convert potential non-termination into a
+status flag.
 """
 
 from __future__ import annotations
@@ -19,7 +23,12 @@ from .presentation import (
     critical_branchings,
     extension_apply,
 )
-from .reduction import ReductionOperator, complement, meet, single_rule
+from .reduction import ReductionOperator, complement, single_rule
+
+# ``complete`` meets by substitution (``_meet_complement``) and calls no
+# ``meet``.  The name stays bound here because the benchmark declares a
+# per-layer metric on ``ncgb.completion.meet``.
+from .reduction import meet  # noqa: F401
 from .words import _Descending
 
 CONVERGED = "converged"
@@ -64,19 +73,26 @@ def normalisation(
     """Turn seed polynomials into single-rule operators, expanding any
     U-reducible support word w into the rule w -> image of one rewriting
     step at ``U.redex(w)``, until all remaining support words are U-normal.
-    That rule needs no elimination: w - image is monic with leading word w.
+    Neither kind of rule needs an elimination: ``single_rule`` divides a
+    seed by its leading coefficient, and w - image is monic with leading
+    word w.  Every U-reducible word of the family's supports is thus a key
+    of the family, which ``complete`` relies on.
 
     The greatest eligible word goes first.  An expansion only adds smaller
     words, so the words are taken from a deg-lex heap and each is matched
     once.  The seeds' leading words are left out of the starting worklist
     only: one that turns up in a later image is expanded like any other
-    word.  The family is deduplicated by hash, in order of first appearance.
+    word.  The family holds each operator once, in order of first
+    appearance.  The seed rules are deduplicated by hash.  The worklist
+    hands out each word once, so no two expansions share a key, and only an
+    expansion keyed by a seed's leading word can repeat a member.
     """
     order = U.order
     if any(f.is_zero() for f in seeds):
         raise ValueError("normalisation seeds must be nonzero")
-    family = dict.fromkeys(single_rule(f, order) for f in seeds)
-    lead_words = {f.leading(order)[0] for f in seeds}
+    seed_rules = dict.fromkeys(single_rule(f, order) for f in seeds)
+    lead_words = set().union(*(T.rules for T in seed_rules))
+    family = list(seed_rules)
     worklist = _Descending({w for f in seeds for w in f.support()} - lead_words)
     redex = U.redex
     for w in worklist:
@@ -84,9 +100,29 @@ def normalisation(
             continue
         i, key = hit
         image = U.rules[key].sandwich(w[:i], w[i + len(key) :])
-        family.setdefault(ReductionOperator._trusted(order, {w: image}))
+        rule = ReductionOperator._trusted(order, {w: image})
+        if w not in lead_words or rule not in seed_rules:
+            family.append(rule)
         worklist.push(image.support())
-    return list(family)
+    return family
+
+
+def _meet_complement(U: ReductionOperator, comp: ReductionOperator) -> ReductionOperator:
+    """``meet([U, comp])`` for the complement ``comp`` of a family normalised
+    against U, by substitution: U's rules with their images rewritten by
+    ``comp``, and ``comp``'s rules, by decreasing word as ``meet`` gives them.
+
+    Every U-reducible word of the family's supports is a family key, so
+    ``comp``'s rules, which hold only family-normal words, hold no word that
+    U reduces.  The rewritten images hold no key of either operator, so the
+    rule map is inter-reduced, and its kernel is the sum of the two kernels.
+    """
+    order = U.order
+    rules = {w: comp.apply(image) for w, image in U.rules.items()}
+    rules.update(comp.rules)
+    return ReductionOperator._trusted(
+        order, {w: rules[w] for w in sorted(rules, key=order.key, reverse=True)}
+    )
 
 
 def _seeds(
@@ -123,7 +159,7 @@ def complete(P: Presentation, limits: CompletionLimits | None = None) -> Complet
         seeds = _seeds(pres, new)
         family = normalisation(seeds, pres.operator)
         comp = complement(family)
-        op_next = meet([pres.operator, comp])
+        op_next = _meet_complement(pres.operator, comp)
         steps.append(
             CompletionStep(
                 index=len(steps),

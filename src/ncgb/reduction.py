@@ -7,19 +7,23 @@ word.  The identity on every unlisted word is implicit.  Operators are in
 bijection with finite-dimensional subspaces (their kernels), which is what
 realises the lattice operations: meet by kernel sum, join by kernel
 intersection, and the complement by intersection with the normal-form
-words, which on the family ambient are the non-keys: its elimination
-ranks the keys first.  Each of ``ker_inv``, ``meet``, ``join`` and
-``complement`` is one pass of ``linalg.eliminate``; ``_kernel_rows`` is
-the only crossing from rules to rows and ``_operator`` the only one back.
+words.  Each of ``ker_inv``, ``meet``, ``join`` and ``complement`` is one
+pass of ``linalg.eliminate``; ``_kernel_rows`` is the only crossing from
+rules to rows and ``_operator`` the only one back.  ``complement`` is the
+structured elimination of F4: the first kernel row of each key is a
+reducer whose pivot is already known, every other row is reduced against
+the reducers by substitution, and only the residuals, which hold no key,
+are eliminated.  ``single_rule`` divides its polynomial by the leading
+coefficient and needs no elimination.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .linalg import Polynomial, _add_multiple, eliminate
-from .words import DegLexOrder, Word
+from .linalg import Polynomial, _add_multiple, _primitive, _scale, eliminate
+from .words import DegLexOrder, Word, _Descending
 
 
 class ReductionOperator:
@@ -77,7 +81,11 @@ class ReductionOperator:
 
     def kernel_basis(self) -> list[Polynomial]:
         """Reduced basis {w - T(w) : w reducible}, by decreasing leading word."""
-        return [Polynomial._trusted(row) for row in _kernel_rows([self])]
+        rules = self._rules
+        return [
+            Polynomial.monomial(w) - rules[w]
+            for w in sorted(rules, key=self.order.key, reverse=True)
+        ]
 
     def __eq__(self, other) -> bool:
         return (
@@ -98,14 +106,16 @@ def identity(order: DegLexOrder) -> ReductionOperator:
 
 
 def _kernel_rows(family: Iterable[ReductionOperator]) -> Iterator[dict]:
-    """The row {w: 1, u: -c, ...} of the kernel vector w - T(w) of each rule,
-    by decreasing w within each member; the only crossing from rules to rows.
-    The pivot is ``Fraction(1)``, not ``1``, because ``kernel_basis`` hands
-    these rows to ``Polynomial`` as they are."""
+    """The integer row {w: m, u: -c * m, ...} on the line of the kernel
+    vector w - T(w) of each rule, by decreasing w within each member; the
+    only crossing from rules to rows.  m is the lcm of the denominators of
+    T(w), so the row is primitive, and it starts at its pivot w."""
     for T in family:
         rules = T.rules
         for w in sorted(rules, key=T.order.key, reverse=True):
-            yield {w: Fraction(1), **{u: -c for u, c in rules[w].items()}}
+            terms = rules[w].items()
+            m = lcm(*(c.denominator for _, c in terms))
+            yield {w: m, **{u: -c.numerator * (m // c.denominator) for u, c in terms}}
 
 
 def _operator(pivots: Mapping[Word, Mapping], order: DegLexOrder) -> ReductionOperator:
@@ -139,10 +149,13 @@ def kernel_basis(T: ReductionOperator) -> list[Polynomial]:
 
 
 def single_rule(f: Polynomial, order: DegLexOrder) -> ReductionOperator:
-    """ker_inv of the line spanned by one nonzero polynomial."""
+    """ker_inv of the line spanned by one nonzero polynomial: the rule
+    w -> w - f / c, where c is the coefficient of f's leading word w."""
     if f.is_zero():
         raise ValueError("single_rule requires a nonzero polynomial")
-    return ker_inv([f], order)
+    w, c = f.leading(order)
+    image = Polynomial._trusted({u: -d / c for u, d in f.items() if u != w})
+    return ReductionOperator._trusted(order, {w: image})
 
 
 def leq(T1: ReductionOperator, T2: ReductionOperator) -> bool:
@@ -205,12 +218,40 @@ def complement(family: Sequence[ReductionOperator]) -> ReductionOperator:
 
     Only the finite-dimensional part matters: the kernel of the result is the
     set of vectors in the sum of the members' kernels supported entirely on
-    normal-form words.  One elimination of the members' kernel rows, with
-    every key ranked above every other word, gives it as the rows whose
-    pivot is not a key: every column of those rows is a word of the family
-    ambient, where the keys are exactly the words that are not normal forms.
+    normal-form words.  On the family ambient, which holds every column of
+    the members' kernel rows, those are the words that are not keys.
+
+    The first kernel row of each key is a reducer: its pivot is its key, and
+    its other columns are smaller words.  Every other row is reduced against
+    the reducers by substitution on integer rows, taking its key columns
+    greatest first, so each key is cleared once.  The residuals hold no key
+    and span the intersection: the kernel sum is the span of the reducers
+    plus that of the residuals, and a nonzero combination of reducers has a
+    key as its leading word.  One elimination of the primitive residuals
+    gives the reduced basis, which is unique.
     """
     order = _order(family, "complement")
-    keys = set().union(*(T.rules for T in family))
-    pivots = eliminate(_kernel_rows(family), lambda w: (w in keys, order.key(w)))
-    return _operator({w: row for w, row in pivots.items() if w not in keys}, order)
+    reducers: dict = {}
+    others = []
+    for row in _kernel_rows(family):
+        w = next(iter(row))
+        if w in reducers:
+            others.append(row)
+        else:
+            reducers[w] = row
+    residuals = []
+    for row in others:
+        queue = _Descending(col for col in row if col in reducers)
+        for k in queue:
+            a = row.pop(k, 0)
+            if a:
+                reducer = reducers[k]
+                b = reducer[k]
+                g = gcd(a, b)
+                _scale(row, b // g)
+                _add_multiple(row, -(a // g), reducer, k)
+                queue.push(col for col in reducer if col in reducers)
+        if row:
+            _primitive(row)
+            residuals.append(row)
+    return _operator(eliminate(residuals, order.key), order)

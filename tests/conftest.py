@@ -34,6 +34,16 @@ y.x.x -> x.x.z
 y.x.x.x -> x.x.x.y
 """
 
+# Its third completion step normalises 84 seeds into 1,359 operators; under
+# CompletionLimits(10, 5) it stops at the degree cap after three steps.
+HEAVY_STEP_TEXT = """\
+alphabet: w x y
+order: deglex
+rules:
+x.y -> 3*w.y + 3*w.x + 3*w
+y.x -> -2*x.x + 9*w.y + 9*w.x - y + 9*w
+"""
+
 
 @pytest.fixture
 def xyz() -> Alphabet:

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from ncgb import linalg, reduction
 from ncgb.completion import (
     CONVERGED,
     DEGREE_CAP,
@@ -28,7 +29,7 @@ from ncgb.presentation import (
 from ncgb.reduction import ReductionOperator, identity, ker_inv, leq, meet, single_rule
 from ncgb.words import Alphabet, DegLexOrder
 
-from conftest import p, random_presentation, w
+from conftest import BRAIDED_TEXT, HEAVY_STEP_TEXT, p, random_presentation, w
 
 
 @pytest.fixture
@@ -96,15 +97,6 @@ def test_normalisation_expands_seed_lead_word_met_again():
     ]
 
 
-HEAVY_STEP_TEXT = """\
-alphabet: w x y
-order: deglex
-rules:
-x.y -> 3*w.y + 3*w.x + 3*w
-y.x -> -2*x.x + 9*w.y + 9*w.x - y + 9*w
-"""
-
-
 def test_normalisation_heavy_step_is_fast():
     # Step 2 of this completion normalises 84 seeds into 1,359 operators;
     # rescanning the whole worklist after each expansion took about 20 s.
@@ -137,6 +129,48 @@ def test_heavy_completion_is_fast():
     text = serialize_presentation(result.completed)
     assert hashlib.sha256(text.encode()).hexdigest().startswith("d9cbe50fcfc5086f")
     assert elapsed < 30
+
+
+def test_operator_after_matches_meet():
+    # complete() forms each step's operator by substitution instead of by
+    # meet([operator_before, complement_op]); the reference is that meet.
+    # The random draws are those of test_completion_soundness_random.
+    rng = random.Random(307)
+    limits = CompletionLimits(max_iterations=12, max_rule_degree=6)
+    cases = [(parse_presentation(BRAIDED_TEXT), CompletionLimits())]
+    cases += [(random_presentation(rng), limits) for _ in range(25)]
+    cases.append((parse_presentation(HEAVY_STEP_TEXT), CompletionLimits(10, 5)))
+    for P, limits in cases:
+        for step in complete(P, limits).steps:
+            expected = meet([step.operator_before, step.complement_op])
+            got = step.operator_after
+            assert got.rules == expected.rules
+            assert list(got.rules) == list(expected.rules)
+            for image in got.rules.values():
+                assert all(type(c) is Fraction for _, c in image.items())
+
+
+def test_complete_eliminates_once_per_step(monkeypatch):
+    # Each step runs one elimination, in complement(): single_rule divides
+    # by the leading coefficient and the final meet is a substitution.
+    calls = []
+
+    def counting(rows, key):
+        calls.append(key)
+        return eliminate(rows, key)
+
+    eliminate = linalg.eliminate
+    monkeypatch.setattr(linalg, "eliminate", counting)
+    monkeypatch.setattr(reduction, "eliminate", counting)
+    for text, limits in (
+        (BRAIDED_TEXT, CompletionLimits()),
+        (HEAVY_STEP_TEXT, CompletionLimits(10, 5)),
+    ):
+        P = parse_presentation(text)
+        calls.clear()
+        result = complete(P, limits)
+        assert len(result.steps) == 3
+        assert len(calls) == len(result.steps)
 
 
 def test_normalisation_rejects_zero_seed(order):

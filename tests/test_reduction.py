@@ -5,6 +5,7 @@ import pytest
 
 from ncgb import linalg, reduction
 from ncgb.completion import CompletionLimits, complete
+from ncgb.fileformat import parse_presentation
 from ncgb.linalg import Polynomial, coordinate_subspace_intersection, reduced_basis
 from ncgb.reduction import (
     ReductionOperator,
@@ -25,6 +26,7 @@ from ncgb.reduction import (
 from ncgb.words import Alphabet, DegLexOrder
 
 from conftest import (
+    HEAVY_STEP_TEXT,
     all_words,
     dense_rank,
     in_span,
@@ -347,6 +349,53 @@ def test_complement_braided_steps(ab, order, family_f0):
     }
 
 
+def test_complement_reducer_block_edge_cases(ab, order, monkeypatch):
+    calls = []
+
+    def counting(rows, key):
+        rows = list(rows)
+        calls.append(rows)
+        return eliminate(rows, key)
+
+    eliminate = linalg.eliminate
+    monkeypatch.setattr(reduction, "eliminate", counting)
+
+    def definition(family):
+        allowed = normal_form_words(family, family_ambient(family))
+        words = ker_inv([Polynomial.monomial(u) for u in allowed], order)
+        return join(meet(family), words)
+
+    # Proportional rows on one key: the second row reduces to zero, and the
+    # residuals are eliminated all the same.
+    T = single_rule(p(ab, "y.z.x - x.x"), order)
+    U = ker_inv([p(ab, "3*y.z.x - 3*x.x"), p(ab, "z.z - y")], order)
+    # The key x.x of the second member lies in the first member's image, so
+    # clearing y.z.x from the third row brings in a key to clear next.
+    V = single_rule(p(ab, "x.x - y"), order)
+    W = single_rule(p(ab, "y.z.x - y.y"), order)
+    # Members keyed by the empty word: () -> 0 is a reducer of its own.
+    one = ker_inv([p(ab, "2")], order)
+    A, B = single_rule(p(ab, "y - x"), order), single_rule(p(ab, "y - 1"), order)
+    cases = [
+        ([T, U], {}),
+        ([T, T], {}),
+        ([T, V, W], {w(ab, "yy"): p(ab, "y")}),
+        ([W, V, T], {w(ab, "yy"): p(ab, "y")}),
+        ([A, one, B], {w(ab, "x"): Polynomial.zero()}),
+        ([one, one], {}),
+        ([B, one], {}),
+    ]
+    for family, rules in cases:
+        calls.clear()
+        got = complement(family)
+        assert len(calls) == 1
+        assert got.rules == rules
+        assert got == definition(family)
+    calls.clear()
+    complement([T, U])
+    assert calls == [[]]
+
+
 def test_complement_empty_family_raises():
     with pytest.raises(ValueError):
         complement([])
@@ -364,6 +413,29 @@ def test_single_rule_examples(ab, order):
     }
     with pytest.raises(ValueError):
         single_rule(Polynomial.zero(), order)
+
+
+def test_single_rule_matches_ker_inv(ab, order):
+    # single_rule divides by the leading coefficient instead of eliminating.
+    cases = [
+        p(ab, "-y.z.x + x.x"),
+        p(ab, "-3*y.x.y + 2*x.x - 1"),
+        p(ab, "2/3*y.z - 5/7*x + 1/2"),
+        p(ab, "-4/9*z.z.z - 4/9*y"),
+        p(ab, "7*x.y"),
+        p(ab, "-1/2"),
+        p(ab, "5"),
+    ]
+    rng = random.Random(617)
+    ambient = all_words(ab, 3)
+    cases += [random_polynomial(rng, ambient, max_terms=5) for _ in range(100)]
+    for f in filter(None, cases):
+        got, expected = single_rule(f, order), ker_inv([f], order)
+        assert got == expected
+        assert list(got.rules) == list(expected.rules)
+        for image in got.rules.values():
+            assert all(type(c) is Fraction for _, c in image.items())
+    assert single_rule(p(ab, "-1/2"), order).rules == {(): Polynomial.zero()}
 
 
 def test_zero_image_rules_are_legal(ab, order):
@@ -494,11 +566,12 @@ def test_complement_axioms_random(ab, order):
 
 
 def test_complement_matches_meet_then_intersect(ab, order):
-    # complement() eliminates the members' kernel rows directly; the
-    # definition it replaces first forms the meet and intersects its kernel.
-    # Besides small random families, the inputs are the normalised family of
-    # every step of seeded random completions, up to 219 members whose keys
-    # recur in other members' images.
+    # complement() reduces the members' kernel rows against one reducer row
+    # per key and eliminates the residuals; the definition it replaces first
+    # forms the meet and intersects its kernel.  Besides small random
+    # families, the inputs are the normalised family of every step of
+    # seeded random completions, up to 219 members whose keys recur in other
+    # members' images, and of the heavy case, up to 1,359 members.
     rng = random.Random(113)
     ambient = all_words(ab, 2)[:8]
     families = [
@@ -509,6 +582,8 @@ def test_complement_matches_meet_then_intersect(ab, order):
     for _ in range(25):
         result = complete(random_presentation(rng), CompletionLimits(12, 6))
         families += [list(step.normalised_family) for step in result.steps]
+    result = complete(parse_presentation(HEAVY_STEP_TEXT), CompletionLimits(10, 5))
+    families += [list(step.normalised_family) for step in result.steps]
     for family in families:
         order = family[0].order
         allowed = normal_form_words(family, family_ambient(family))
