@@ -7,14 +7,17 @@ complement absorbs all the seeds in one batch rather than one at a time,
 and it is the step's only elimination: the family's rows are reduced
 against one reducer row per key by substitution, and only the residuals
 are eliminated, as in F4.  Building the family and meeting the
-complement into the operator are substitutions too.  The loop stops when
-no new branchings appear; caps convert potential non-termination into a
-status flag.
+complement into the operator are substitutions too.  Each leg
+w - S_{n,m}(w) is built once from the rule image, and the legs and the
+seed rules are each deduplicated by leading word, so no polynomial or
+operator is hashed.  The loop stops when no new branchings appear; caps
+convert potential non-termination into a status flag.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .linalg import Polynomial
 from .presentation import (
@@ -29,7 +32,7 @@ from .reduction import ReductionOperator, complement, single_rule
 # ``meet``.  The name stays bound here because the benchmark declares a
 # per-layer metric on ``ncgb.completion.meet``.
 from .reduction import meet  # noqa: F401
-from .words import _Descending
+from .words import Word, _Descending
 
 CONVERGED = "converged"
 ITERATION_CAP = "iteration_cap"
@@ -83,26 +86,34 @@ def normalisation(
     once.  The seeds' leading words are left out of the starting worklist
     only: one that turns up in a later image is expanded like any other
     word.  The family holds each operator once, in order of first
-    appearance.  The seed rules are deduplicated by hash.  The worklist
-    hands out each word once, so no two expansions share a key, and only an
-    expansion keyed by a seed's leading word can repeat a member.
+    appearance.  Two single-rule operators are equal when they share their
+    one key and its image, so the seed rules are deduplicated by leading
+    word, comparing images only with those of the same word, and nothing
+    is hashed.  The worklist hands out each word once, so no two expansions
+    share a key, and only an expansion keyed by a seed's leading word can
+    repeat a member.
     """
     order = U.order
     if any(f.is_zero() for f in seeds):
         raise ValueError("normalisation seeds must be nonzero")
-    seed_rules = dict.fromkeys(single_rule(f, order) for f in seeds)
-    lead_words = set().union(*(T.rules for T in seed_rules))
-    family = list(seed_rules)
-    worklist = _Descending({w for f in seeds for w in f.support()} - lead_words)
+    family: list[ReductionOperator] = []
+    seed_images: dict[Word, list[Polynomial]] = {}
+    for f in seeds:
+        rule = single_rule(f, order)
+        ((w, image),) = rule.rules.items()
+        images = seed_images.setdefault(w, [])
+        if image not in images:
+            images.append(image)
+            family.append(rule)
+    worklist = _Descending({w for f in seeds for w in f.support()} - seed_images.keys())
     redex = U.redex
     for w in worklist:
         if (hit := redex(w)) is None:
             continue
         i, key = hit
         image = U.rules[key].sandwich(w[:i], w[i + len(key) :])
-        rule = ReductionOperator._trusted(order, {w: image})
-        if w not in lead_words or rule not in seed_rules:
-            family.append(rule)
+        if image not in seed_images.get(w, ()):
+            family.append(ReductionOperator._trusted(order, {w: image}))
         worklist.push(image.support())
     return family
 
@@ -128,13 +139,33 @@ def _meet_complement(U: ReductionOperator, comp: ReductionOperator) -> Reduction
 def _seeds(
     P: Presentation, branchings: list[CriticalBranching]
 ) -> list[Polynomial]:
-    """Both one-step legs w - S_{n,m}(w) of every branching, deduplicated."""
-    legs = (
-        Polynomial.monomial(b.source) - extension_apply(P, n, m, b.source)
-        for b in branchings
-        for n, m in (b.left, b.right)
-    )
-    return list(dict.fromkeys(f for f in legs if f))
+    """Both one-step legs w - S_{n,m}(w) of every branching, deduplicated,
+    in order of first appearance.
+
+    Each leg is built once, as w with coefficient 1 followed by the negated
+    image.  The middle factor of a branching's extension is a key, whose
+    image is smaller, so every word of the image is smaller than w, and w
+    leads the leg.  The image holds w only when the middle factor is not a
+    key, and then it is w itself and the leg is zero.  Legs with different
+    leading words differ, so each image is compared only with the earlier
+    images of its own source.
+    """
+    one = Fraction(1)
+    seen: dict[Word, list[Polynomial]] = {}
+    legs = []
+    for b in branchings:
+        w = b.source
+        images = seen.setdefault(w, [])
+        for n, m in (b.left, b.right):
+            image = extension_apply(P, n, m, w)
+            if w in image._terms or image in images:
+                continue
+            images.append(image)
+            terms = {w: one}
+            for u, c in image.items():
+                terms[u] = -c
+            legs.append(Polynomial._trusted(terms))
+    return legs
 
 
 def complete(P: Presentation, limits: CompletionLimits | None = None) -> CompletionResult:
@@ -172,6 +203,7 @@ def complete(P: Presentation, limits: CompletionLimits | None = None) -> Complet
                 operator_after=op_next,
             )
         )
-        pres, previous = Presentation(P.alphabet, P.order, op_next), set(current)
+        pres = Presentation._trusted(P.alphabet, P.order, op_next)
+        previous = set(current)
         if any(len(w) > limits.max_rule_degree for w in op_next.rules):
             return CompletionResult(pres, tuple(steps), DEGREE_CAP)

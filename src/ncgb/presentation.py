@@ -32,6 +32,19 @@ class Presentation:
                 if not self.alphabet.contains_word(v):
                     raise ValueError(f"word {v} outside the alphabet")
 
+    @classmethod
+    def _trusted(
+        cls, alphabet: Alphabet, order: DegLexOrder, operator: ReductionOperator
+    ) -> "Presentation":
+        """The presentation of an operator the engine built from rules over
+        ``alphabet`` and ``order``, which holds only their words by
+        construction; taken as it is."""
+        self = cls.__new__(cls)
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "operator", operator)
+        return self
+
 
 @dataclass(frozen=True)
 class CriticalBranching:

@@ -14,7 +14,8 @@ structured elimination of F4: the first kernel row of each key is a
 reducer whose pivot is already known, every other row is reduced against
 the reducers by substitution, and only the residuals, which hold no key,
 are eliminated.  ``single_rule`` divides its polynomial by the leading
-coefficient and needs no elimination.
+coefficient, or negates it when that coefficient is 1, and needs no
+elimination.
 """
 
 from __future__ import annotations
@@ -72,7 +73,10 @@ class ReductionOperator:
         return Polynomial.monomial(w) if p is None else p
 
     def apply(self, f: Polynomial) -> Polynomial:
-        """Linear image of ``f``; already a fixed point since rules are inter-reduced."""
+        """Linear image of ``f``; already a fixed point since rules are inter-reduced.
+        ``f`` itself when no word of ``f`` is a key."""
+        if self._rules.keys().isdisjoint(f._terms):
+            return f
         out: dict = {}
         for w, c in f.items():
             p = self._rules.get(w)
@@ -150,11 +154,15 @@ def kernel_basis(T: ReductionOperator) -> list[Polynomial]:
 
 def single_rule(f: Polynomial, order: DegLexOrder) -> ReductionOperator:
     """ker_inv of the line spanned by one nonzero polynomial: the rule
-    w -> w - f / c, where c is the coefficient of f's leading word w."""
+    w -> w - f / c, where c is the coefficient of f's leading word w.  A
+    monic ``f``, such as an S-polynomial leg, is negated, not divided."""
     if f.is_zero():
         raise ValueError("single_rule requires a nonzero polynomial")
     w, c = f.leading(order)
-    image = Polynomial._trusted({u: -d / c for u, d in f.items() if u != w})
+    if c == 1:
+        image = Polynomial._trusted({u: -d for u, d in f.items() if u != w})
+    else:
+        image = Polynomial._trusted({u: -d / c for u, d in f.items() if u != w})
     return ReductionOperator._trusted(order, {w: image})
 
 

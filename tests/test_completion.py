@@ -22,6 +22,7 @@ from ncgb.presentation import (
     CriticalBranching,
     Presentation,
     critical_branchings,
+    extension_apply,
     is_confluent_presentation,
     normal_form,
     s_polynomial,
@@ -97,6 +98,31 @@ def test_normalisation_expands_seed_lead_word_met_again():
     ]
 
 
+def test_normalisation_deduplicates_seed_rules_by_leading_word(ab, order):
+    # Scalar multiples give one member, whatever the leading coefficient.
+    f = p(ab, "3*y.z - 2*x + 1/2")
+    seeds = [f, f.scale(2), f.scale(Fraction(-1, 3))]
+    assert normalisation(seeds, identity(order)) == [single_rule(f, order)]
+    # Seeds sharing a leading word with different images are all kept, in
+    # order of first appearance.
+    g1, g2, g3 = p(ab, "y.z - x"), p(ab, "x.x - 1"), p(ab, "y.z - y")
+    seeds = [g1, g2, g3, p(ab, "2*y.z - 2*x"), g2]
+    assert normalisation(seeds, identity(order)) == [
+        single_rule(g, order) for g in (g1, g2, g3)
+    ]
+    # Expanding y.y.y brings back x.y.y, the first seed's leading word, and
+    # one rewriting step there gives exactly that seed's rule: no repeat.
+    xy = Alphabet(("x", "y"))
+    order = DegLexOrder(xy)
+    U = ker_inv([p(xy, "y.y - x.y")], order)
+    seeds = [p(xy, "x.y.y - x.x.y"), p(xy, "x.x.x.x + y.y.y")]
+    assert normalisation(seeds, U) == [
+        single_rule(seeds[0], order),
+        single_rule(seeds[1], order),
+        single_rule(p(xy, "y.y.y - x.y.y"), order),
+    ]
+
+
 def test_normalisation_heavy_step_is_fast():
     # Step 2 of this completion normalises 84 seeds into 1,359 operators;
     # rescanning the whole worklist after each expansion took about 20 s.
@@ -131,16 +157,21 @@ def test_heavy_completion_is_fast():
     assert elapsed < 30
 
 
-def test_operator_after_matches_meet():
-    # complete() forms each step's operator by substitution instead of by
-    # meet([operator_before, complement_op]); the reference is that meet.
-    # The random draws are those of test_completion_soundness_random.
+def _differential_cases():
+    """The braided example, the draws of test_completion_soundness_random,
+    and the heavy case, each with its limits."""
     rng = random.Random(307)
     limits = CompletionLimits(max_iterations=12, max_rule_degree=6)
     cases = [(parse_presentation(BRAIDED_TEXT), CompletionLimits())]
     cases += [(random_presentation(rng), limits) for _ in range(25)]
     cases.append((parse_presentation(HEAVY_STEP_TEXT), CompletionLimits(10, 5)))
-    for P, limits in cases:
+    return cases
+
+
+def test_operator_after_matches_meet():
+    # complete() forms each step's operator by substitution instead of by
+    # meet([operator_before, complement_op]); the reference is that meet.
+    for P, limits in _differential_cases():
         for step in complete(P, limits).steps:
             expected = meet([step.operator_before, step.complement_op])
             got = step.operator_after
@@ -148,6 +179,46 @@ def test_operator_after_matches_meet():
             assert list(got.rules) == list(expected.rules)
             for image in got.rules.values():
                 assert all(type(c) is Fraction for _, c in image.items())
+
+
+def _seeds_reference(P, branchings):
+    """The legs by generic subtraction, deduplicated by hashing."""
+    legs = (
+        Polynomial.monomial(b.source) - extension_apply(P, n, m, b.source)
+        for b in branchings
+        for n, m in (b.left, b.right)
+    )
+    return list(dict.fromkeys(f for f in legs if f))
+
+
+def test_seeds_match_subtraction_reference():
+    # _seeds builds each leg from the rule image and compares legs only
+    # within one source word; the reference subtracts and hashes.
+    for P, limits in _differential_cases():
+        for step in complete(P, limits).steps:
+            pres = Presentation(P.alphabet, P.order, step.operator_before)
+            new = [b for b in step.branchings if b not in step.old_branchings]
+            got, expected = _seeds(pres, new), _seeds_reference(pres, new)
+            assert got == expected
+            assert [list(f.items()) for f in got] == [list(f.items()) for f in expected]
+            assert got == list(step.spol_seeds)
+            for f in got:
+                assert all(type(c) is Fraction for _, c in f.items())
+
+
+def test_complete_hashes_no_polynomial_or_operator(monkeypatch):
+    # Seeds are deduplicated by leading word, once in _seeds and once in
+    # normalisation, comparing by equality; hashing every coefficient of
+    # every leg and seed rule took about a tenth of a completion.
+    cases = _differential_cases()
+
+    def unhashable(self):
+        raise AssertionError(f"{type(self).__name__} hashed")
+
+    monkeypatch.setattr(Polynomial, "__hash__", unhashable)
+    monkeypatch.setattr(ReductionOperator, "__hash__", unhashable)
+    steps = sum(len(complete(P, limits).steps) for P, limits in cases)
+    assert steps > len(cases)
 
 
 def test_complete_eliminates_once_per_step(monkeypatch):

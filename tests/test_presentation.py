@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from ncgb.completion import complete
+from ncgb.completion import CompletionLimits, complete
 from ncgb.fileformat import parse_presentation
 from ncgb.linalg import Polynomial
 from ncgb.presentation import (
@@ -16,7 +16,7 @@ from ncgb.presentation import (
     normal_form,
     s_polynomial,
 )
-from ncgb.reduction import ker_inv
+from ncgb.reduction import ReductionOperator, ker_inv
 from ncgb.words import Alphabet, DegLexOrder
 
 from conftest import all_words, p, random_presentation, w
@@ -70,6 +70,36 @@ def test_presentation_rejects_operator_order_mismatch(ab, order):
     op = ker_inv([p(ab, "y.x - x")], other)
     with pytest.raises(ValueError, match="operator order mismatch"):
         Presentation(ab, order, op)
+
+
+def test_presentation_rejects_word_outside_alphabet(ab, order):
+    for rules in ({(0, 3): Polynomial.zero()}, {(1, 2): Polynomial.monomial((5,))}):
+        with pytest.raises(ValueError, match="outside the alphabet"):
+            Presentation(ab, order, ReductionOperator(order, rules))
+
+
+def test_presentation_rejects_order_over_another_alphabet(ab):
+    other = DegLexOrder(Alphabet(("x", "y")))
+    op = ker_inv([p(ab, "y.x - x")], other)
+    with pytest.raises(ValueError, match="order alphabet mismatch"):
+        Presentation(ab, other, op)
+
+
+def test_step_presentations_pass_the_public_checks():
+    # complete() builds each step's presentation with Presentation._trusted,
+    # which checks nothing; the public constructors must accept every one.
+    # The draws are those of test_completion_soundness_random.
+    rng = random.Random(307)
+    limits = CompletionLimits(max_iterations=12, max_rule_degree=6)
+    for _ in range(25):
+        P = random_presentation(rng)
+        result = complete(P, limits)
+        for step in result.steps:
+            T = step.operator_after
+            assert ReductionOperator(P.order, T.rules) == T
+            Presentation(P.alphabet, P.order, T)
+        Q = result.completed
+        assert Presentation(P.alphabet, P.order, Q.operator) == Q
 
 
 def test_critical_branchings_braided(ab, braided):

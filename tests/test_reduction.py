@@ -90,6 +90,8 @@ def test_apply_examples(ab, order, braid_op):
     assert braid_op.apply(p(ab, "y.z")) == p(ab, "x")
     fixed = p(ab, "y.x.y + 3*x.x")  # supported on normal forms only
     assert braid_op.apply(fixed) == fixed
+    # No word of ``fixed`` is a key, so it is its own image, as it is.
+    assert braid_op.apply(fixed) is fixed
     T = ker_inv([p(ab, "y.z.x - x.x"), p(ab, "y.z.x - y.x.y")], order)
     assert T.apply(p(ab, "y.z.x - y.x.y")).is_zero()
 
@@ -425,6 +427,12 @@ def test_single_rule_matches_ker_inv(ab, order):
         p(ab, "7*x.y"),
         p(ab, "-1/2"),
         p(ab, "5"),
+        # Monic: the leading coefficient is exactly 1, so f is negated.
+        p(ab, "y.z.x - 3*x.x - 1/2*y + 7/3"),
+        p(ab, "x.y - 5/4*z - 2/3"),
+        p(ab, "z.z.z"),
+        p(ab, "x"),
+        p(ab, "1"),
     ]
     rng = random.Random(617)
     ambient = all_words(ab, 3)
@@ -436,6 +444,10 @@ def test_single_rule_matches_ker_inv(ab, order):
         for image in got.rules.values():
             assert all(type(c) is Fraction for _, c in image.items())
     assert single_rule(p(ab, "-1/2"), order).rules == {(): Polynomial.zero()}
+    assert single_rule(p(ab, "y.z.x - 3*x.x - 1/2*y + 7/3"), order).rules == {
+        w(ab, "yzx"): p(ab, "3*x.x + 1/2*y - 7/3")
+    }
+    assert single_rule(p(ab, "z.z.z"), order).rules == {w(ab, "zzz"): Polynomial.zero()}
 
 
 def test_zero_image_rules_are_legal(ab, order):
