@@ -1,28 +1,32 @@
 """Lattice completion loop: simultaneous S-polynomial reduction by complements.
 
 Each iteration collects the S-polynomial seeds of the new critical
-branchings, normalises them into a family of single-rule operators, and
-meets the current operator with the complement of that family.  The
-complement absorbs all the seeds in one batch rather than one at a time,
-and it is the step's only elimination: the family's rows are reduced
-against one reducer row per key by substitution, and only the residuals
-are eliminated, as in F4.  Building the family and meeting the
-complement into the operator are substitutions too.  Each leg
-w - S_{n,m}(w) is built once from the rule image, and the legs and the
-seed rules are each deduplicated by leading word, so no polynomial or
-operator is hashed.  The loop stops when no new branchings appear; caps
-convert potential non-termination into a status flag.
+branchings, which are those of the keys the last step added: the keys only
+grow, and a branching fixes its two keys.  It then normalises the seeds
+into a family of single-rule operators, and meets the current operator
+with the complement of that family.  The complement absorbs all the seeds
+in one batch rather than one at a time, and it is the step's only
+elimination: the family's rows are reduced against one reducer row per
+key by substitution, and only the residuals are eliminated, as in F4.
+Building the family and meeting the complement into the operator are
+substitutions too.  Each leg w - S_{n,m}(w) is built once from the rule
+image, and the legs and the seed rules are each deduplicated by leading
+word, so no polynomial or operator is hashed.  The loop stops when no new
+branchings appear, and at once when no new key does; caps convert
+potential non-termination into a status flag.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import merge
 
 from .linalg import Polynomial
 from .presentation import (
     CriticalBranching,
     Presentation,
+    _branching_key,
     critical_branchings,
     extension_apply,
 )
@@ -172,21 +176,27 @@ def complete(P: Presentation, limits: CompletionLimits | None = None) -> Complet
     """Run the completion loop on a finite presentation, recording every step.
 
     The loop stops at the first step with no new critical branching.  The
-    meet only adds kernel vectors, so the keys only grow, and branchings
-    depend on the keys alone: each step's branchings contain the last
-    step's, and "no new branching" means "the same branchings".
+    meet only adds kernel vectors, so the keys only grow, and a branching
+    fixes its two keys, so the new branchings of a step are exactly those
+    where a new key reduces.  Each step asks ``critical_branchings`` for
+    those alone and merges them into the last step's sorted branchings; no
+    new key means no new branching, and then nothing is enumerated.
     """
     limits = limits or CompletionLimits()
+    order = P.order
     pres = P
-    previous: set[CriticalBranching] = set()
+    seen: set[Word] = set()
+    previous: list[CriticalBranching] = []
     steps: list[CompletionStep] = []
     while True:
-        current = critical_branchings(pres)
-        new = [b for b in current if b not in previous]
+        fresh = pres.operator.rules.keys() - seen
+        new = critical_branchings(pres, fresh) if fresh else []
         if not new:
             return CompletionResult(pres, tuple(steps), CONVERGED)
         if len(steps) >= limits.max_iterations:
             return CompletionResult(pres, tuple(steps), ITERATION_CAP)
+        seen |= fresh
+        current = list(merge(previous, new, key=lambda b: _branching_key(order, b)))
         seeds = _seeds(pres, new)
         family = normalisation(seeds, pres.operator)
         comp = complement(family)
@@ -196,14 +206,14 @@ def complete(P: Presentation, limits: CompletionLimits | None = None) -> Complet
                 index=len(steps),
                 operator_before=pres.operator,
                 branchings=tuple(current),
-                old_branchings=tuple(b for b in current if b in previous),
+                old_branchings=tuple(previous),
                 spol_seeds=tuple(seeds),
                 normalised_family=tuple(family),
                 complement_op=comp,
                 operator_after=op_next,
             )
         )
-        pres = Presentation._trusted(P.alphabet, P.order, op_next)
-        previous = set(current)
+        pres = Presentation._trusted(P.alphabet, order, op_next)
+        previous = current
         if any(len(w) > limits.max_rule_degree for w in op_next.rules):
             return CompletionResult(pres, tuple(steps), DEGREE_CAP)

@@ -10,6 +10,8 @@ overlapping or nested positions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, product
+from typing import Collection
 
 from .linalg import Polynomial
 from .reduction import ReductionOperator
@@ -75,21 +77,41 @@ def extension_apply(P: Presentation, n: int, m: int, w: Word) -> Polynomial:
     return P.operator.apply_word(mid).sandwich(prefix, suffix)
 
 
-def critical_branchings(P: Presentation) -> list[CriticalBranching]:
-    """All critical branchings, sorted by source then offsets."""
+def critical_branchings(
+    P: Presentation, keys: Collection[Word] | None = None
+) -> list[CriticalBranching]:
+    """The critical branchings, sorted by source then offsets.
+
+    A branching fixes its two reducing keys: they are the middle factors of
+    its source at its two offsets.  Without ``keys``, every pair of keys is
+    tested.  With ``keys``, only the branchings where one of ``keys``
+    reduces are returned, and only the pairs (key in ``keys``, any key) and
+    (other key, key in ``keys``) are tested.  Words of ``keys`` that are
+    not keys of the operator reduce nothing.
+    """
     # A rule keyed by the empty word (the ideal contains a constant) admits
     # no branchings: the middle factor of an extension is always nonempty.
-    keys = sorted((k for k in P.operator.rules if k), key=P.order.key)
+    everything = sorted((k for k in P.operator.rules if k), key=P.order.key)
+    if keys is None:
+        pairs = product(everything, repeat=2)
+    else:
+        chosen = [k for k in everything if k in keys]
+        others = [k for k in everything if k not in keys]
+        pairs = chain(product(chosen, everything), product(others, chosen))
     found: set[CriticalBranching] = set()
-    for u in keys:
-        for v in keys:
-            for a, _, c in overlaps(u, v):
-                found.add(CriticalBranching.make(a + v, (len(a), 0), (0, len(c))))
-            for n, m in factor_occurrences(u, v):
-                if u == v and (n, m) == (0, 0):
-                    continue
-                found.add(CriticalBranching.make(u, (n, m), (0, 0)))
-    return sorted(found, key=lambda b: (P.order.key(b.source), b.left, b.right))
+    for u, v in pairs:
+        for a, _, c in overlaps(u, v):
+            found.add(CriticalBranching.make(a + v, (len(a), 0), (0, len(c))))
+        for n, m in factor_occurrences(u, v):
+            if u == v and (n, m) == (0, 0):
+                continue
+            found.add(CriticalBranching.make(u, (n, m), (0, 0)))
+    return sorted(found, key=lambda b: _branching_key(P.order, b))
+
+
+def _branching_key(order: DegLexOrder, b: CriticalBranching):
+    """The sort key of ``critical_branchings``: source, then offsets."""
+    return (order.key(b.source), b.left, b.right)
 
 
 def s_polynomial(P: Presentation, b: CriticalBranching) -> Polynomial:

@@ -20,11 +20,12 @@ elimination.
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .linalg import Polynomial, _add_multiple, _primitive, _scale, eliminate
-from .words import DegLexOrder, Word, _Descending
+from .words import DegLexOrder, Word
 
 
 class ReductionOperator:
@@ -247,10 +248,19 @@ def complement(family: Sequence[ReductionOperator]) -> ReductionOperator:
             others.append(row)
         else:
             reducers[w] = row
+    # Each row's queue holds the ranks of its key columns, greatest key at
+    # rank 0, and each reducer's key-column ranks are listed on first use.
+    keys = sorted(reducers, key=order.key, reverse=True)
+    rank = {k: i for i, k in enumerate(keys)}
+    key_cols: list = [None] * len(keys)
     residuals = []
     for row in others:
-        queue = _Descending(col for col in row if col in reducers)
-        for k in queue:
+        heap = [rank[col] for col in row if col in rank]
+        heapify(heap)
+        queued = set(heap)
+        while heap:
+            i = heappop(heap)
+            k = keys[i]
             a = row.pop(k, 0)
             if a:
                 reducer = reducers[k]
@@ -258,7 +268,13 @@ def complement(family: Sequence[ReductionOperator]) -> ReductionOperator:
                 g = gcd(a, b)
                 _scale(row, b // g)
                 _add_multiple(row, -(a // g), reducer, k)
-                queue.push(col for col in reducer if col in reducers)
+                cols = key_cols[i]
+                if cols is None:
+                    cols = key_cols[i] = [rank[col] for col in reducer if col in rank and col != k]
+                for j in cols:
+                    if j not in queued:
+                        queued.add(j)
+                        heappush(heap, j)
         if row:
             _primitive(row)
             residuals.append(row)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from ncgb import linalg, reduction
+from ncgb import completion, linalg, reduction
 from ncgb.completion import (
     CONVERGED,
     DEGREE_CAP,
@@ -30,7 +30,16 @@ from ncgb.presentation import (
 from ncgb.reduction import ReductionOperator, identity, ker_inv, leq, meet, single_rule
 from ncgb.words import Alphabet, DegLexOrder
 
-from conftest import BRAIDED_TEXT, HEAVY_STEP_TEXT, p, random_presentation, w
+from conftest import (
+    BRAIDED_TEXT,
+    COMPLETED_BRAIDED_TEXT,
+    HEAVY_STEP_TEXT,
+    p,
+    random_presentation,
+    w,
+)
+
+UNIT_IDEAL_TEXT = "alphabet: x\norder: deglex\nrules:\nx.x -> 1\nx -> 2\n"
 
 
 @pytest.fixture
@@ -244,6 +253,51 @@ def test_complete_eliminates_once_per_step(monkeypatch):
         assert len(calls) == len(result.steps)
 
 
+def test_complete_enumerates_only_new_keys(monkeypatch):
+    # Each step asks critical_branchings for the branchings of its new keys
+    # only, and a step that adds no key ends the run without an enumeration:
+    # a run whose last step adds no key makes one call per step.
+    calls = []
+
+    def counting(P, keys=None):
+        calls.append(keys)
+        return critical_branchings(P, keys)
+
+    monkeypatch.setattr(completion, "critical_branchings", counting)
+    cases = _differential_cases() + [
+        (parse_presentation(COMPLETED_BRAIDED_TEXT), CompletionLimits()),
+    ]
+    exact = 0
+    for P, limits in cases:
+        calls.clear()
+        result = complete(P, limits)
+        seen: set = set()
+        for step, keys in zip(result.steps, calls):
+            assert keys == step.operator_before.rules.keys() - seen
+            seen |= keys
+        if result.status != CONVERGED:
+            assert len(calls) == len(result.steps) + (result.status == ITERATION_CAP)
+            continue
+        adds_keys = result.completed.operator.rules.keys() != seen
+        assert len(calls) == len(result.steps) + adds_keys
+        exact += not adds_keys
+    assert exact >= 10
+    calls.clear()
+    assert len(complete(parse_presentation(BRAIDED_TEXT)).steps) == 3
+    assert len(calls) == 3
+    # The unit ideal's one step adds the key 1, which admits no branching.
+    calls.clear()
+    P = parse_presentation(UNIT_IDEAL_TEXT)
+    result = complete(P)
+    assert result.status == CONVERGED
+    assert result.steps[0].branchings == tuple(critical_branchings(P))
+    assert [len(s.branchings) for s in result.steps] == [3]
+    assert calls == [{(0,), (0, 0)}, {()}]
+    zero = Polynomial.zero()
+    rules = result.completed.operator.rules
+    assert list(rules.items()) == [((0, 0), zero), ((0,), zero), ((), zero)]
+
+
 def test_normalisation_rejects_zero_seed(order):
     with pytest.raises(ValueError):
         normalisation([Polynomial.zero()], identity(order))
@@ -334,24 +388,29 @@ def test_completion_soundness_random():
 
 
 def test_steps_chain_branchings_random():
-    # The meet only adds keys, so each step's old branchings are exactly the
-    # step before's branchings, and a converged result has no new ones.  The
-    # draws are those of test_completion_soundness_random.
+    # complete() enumerates only the branchings of each step's new keys and
+    # merges them into the step before's; the records must be the full
+    # enumeration on operator_before, in its order, and each step's old
+    # branchings exactly the step before's branchings.  The draws are those
+    # of test_completion_soundness_random, then the heavy case.
     rng = random.Random(307)
     limits = CompletionLimits(max_iterations=12, max_rule_degree=6)
+    cases = [(random_presentation(rng), limits) for _ in range(25)]
+    cases.append((parse_presentation(HEAVY_STEP_TEXT), CompletionLimits(10, 5)))
     converged = 0
-    for _ in range(25):
-        result = complete(random_presentation(rng), limits)
+    for P, limits in cases:
+        result = complete(P, limits)
         for i, step in enumerate(result.steps):
             assert step.index == i
+            pres = Presentation(P.alphabet, P.order, step.operator_before)
+            assert step.branchings == tuple(critical_branchings(pres))
             before = result.steps[i - 1].branchings if i else ()
-            assert set(step.old_branchings) == set(before)
+            assert step.old_branchings == before
         if result.status == CONVERGED and result.steps:
             converged += 1
-            assert set(critical_branchings(result.completed)) == set(
-                result.steps[-1].branchings
-            )
+            assert tuple(critical_branchings(result.completed)) == result.steps[-1].branchings
     assert converged >= 10
+    assert len(result.steps) == 3  # the heavy case, last, runs three steps
 
 
 def _assert_exact(x):

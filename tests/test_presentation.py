@@ -19,7 +19,7 @@ from ncgb.presentation import (
 from ncgb.reduction import ReductionOperator, ker_inv
 from ncgb.words import Alphabet, DegLexOrder
 
-from conftest import all_words, p, random_presentation, w
+from conftest import BRAIDED_TEXT, HEAVY_STEP_TEXT, all_words, p, random_presentation, w
 
 
 @pytest.fixture
@@ -169,6 +169,55 @@ def test_critical_branchings_against_definition_random():
     for _ in range(15):
         P = random_presentation(rng)
         assert set(critical_branchings(P)) == _branchings_by_definition(P)
+
+
+def _middle_factors(b: CriticalBranching) -> set:
+    """The words the two extensions of ``b`` rewrite: its two keys."""
+    return {b.source[n : len(b.source) - m] for n, m in (b.left, b.right)}
+
+
+def _step_presentations():
+    """Every step's operator and the completed operator of the benchmark
+    corpus (60 draws of Random(1) and the braided example, under the
+    corpus limits), of the draws of test_completion_soundness_random, and
+    of the heavy case, each with the keys its step added."""
+    rng = random.Random(1)
+    cases = [(random_presentation(rng), CompletionLimits(12, 6)) for _ in range(60)]
+    cases.append((parse_presentation(BRAIDED_TEXT), CompletionLimits()))
+    rng = random.Random(307)
+    cases += [(random_presentation(rng), CompletionLimits(12, 6)) for _ in range(25)]
+    cases.append((parse_presentation(HEAVY_STEP_TEXT), CompletionLimits(10, 5)))
+    for P, limits in cases:
+        result = complete(P, limits)
+        seen: set = set()
+        for T in [s.operator_before for s in result.steps] + [result.completed.operator]:
+            yield Presentation(P.alphabet, P.order, T), set(T.rules) - seen
+            seen |= set(T.rules)
+
+
+def test_critical_branchings_from_keys_match_filtered_enumeration(
+    ab, braided, s1_presentation
+):
+    # With keys, only the pairs that hold one of them are tested; the
+    # reference is the full enumeration filtered to the branchings with a
+    # middle factor in keys, in the same order.
+    rng = random.Random(5)
+    presentations = [(braided, set(braided.operator.rules))]
+    presentations.append((s1_presentation, {w(ab, "yxy")}))
+    presentations += _step_presentations()
+    checked = 0
+    for P, new in presentations:
+        everything = critical_branchings(P)
+        keys = sorted(P.operator.rules)
+        subsets = [new, set(keys), set(rng.sample(keys, rng.randint(0, len(keys))))]
+        subsets.append(subsets[-1] | {w(ab, "xyzzy"), ()})
+        for subset in subsets:
+            expected = [b for b in everything if _middle_factors(b) & subset]
+            assert critical_branchings(P, subset) == expected
+            checked += bool(expected) and len(expected) < len(everything)
+        assert critical_branchings(P, set()) == []
+        assert critical_branchings(P, {()}) == []
+    assert checked > 100
 
 
 def test_s_polynomial_examples(ab, braided, s1_presentation):

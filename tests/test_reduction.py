@@ -398,6 +398,34 @@ def test_complement_reducer_block_edge_cases(ab, order, monkeypatch):
     assert calls == [[]]
 
 
+def test_complement_clears_a_key_reached_twice_once(ab, order, monkeypatch):
+    # The row z.z - z.y is reduced by the reducers of z.z and z.y, whose rows
+    # both hold the key y.y; y.y is queued once and cleared once, after both.
+    cleared = []
+
+    def recording(row, c, other, skip):
+        cleared.append(skip)
+        add_multiple(row, c, other, skip)
+
+    add_multiple = reduction._add_multiple
+    monkeypatch.setattr(reduction, "_add_multiple", recording)
+    family = [
+        single_rule(p(ab, "z.z - y.y - x"), order),
+        single_rule(p(ab, "z.y - 2*y.y"), order),
+        single_rule(p(ab, "y.y - x.x"), order),
+        single_rule(p(ab, "z.z - z.y"), order),
+    ]
+    got = complement(family)
+    assert cleared == [w(ab, "zz"), w(ab, "zy"), w(ab, "yy")]
+    assert got.rules == {w(ab, "xx"): p(ab, "x")}
+    monkeypatch.setattr(reduction, "_add_multiple", add_multiple)
+    allowed = normal_form_words(family, family_ambient(family))
+    words = ker_inv([Polynomial.monomial(u) for u in allowed], order)
+    expected = join(meet(family), words)
+    assert got == expected
+    assert list(got.rules) == list(expected.rules)
+
+
 def test_complement_empty_family_raises():
     with pytest.raises(ValueError):
         complement([])
