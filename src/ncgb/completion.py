@@ -9,11 +9,15 @@ in one batch rather than one at a time, and it is the step's only
 elimination: the family's rows are reduced against one reducer row per
 key by substitution, and only the residuals are eliminated, as in F4.
 Building the family and meeting the complement into the operator are
-substitutions too.  Each leg w - S_{n,m}(w) is built once from the rule
-image, and the legs and the seed rules are each deduplicated by leading
-word, so no polynomial or operator is hashed.  The loop stops when no new
-branchings appear, and at once when no new key does; caps convert
-potential non-termination into a status flag.
+substitutions too.  Each leg w - S_{n,m}(w) = l.(k - U(k)).r and its rule
+w -> l.U(k).r are built once from U's rule for k, and ``normalisation``
+takes the rules as they are.  Every family member is such an extension
+of a rule of U, so its kernel row is U's cached row relabelled: a step
+calls no ``single_rule`` and clears no denominator to build its rows.  The
+legs and the seed rules are each deduplicated by leading word, so no
+polynomial or operator is hashed.  The loop stops when no new branchings
+appear, and at once when no new key does; caps convert potential
+non-termination into a status flag.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from .presentation import (
     Presentation,
     _branching_key,
     critical_branchings,
-    extension_apply,
 )
 from .reduction import ReductionOperator, complement, single_rule
 
@@ -75,15 +78,18 @@ class CompletionResult:
 
 
 def normalisation(
-    seeds: list[Polynomial], U: ReductionOperator
+    seeds: list[Polynomial | ReductionOperator], U: ReductionOperator
 ) -> list[ReductionOperator]:
-    """Turn seed polynomials into single-rule operators, expanding any
-    U-reducible support word w into the rule w -> image of one rewriting
-    step at ``U.redex(w)``, until all remaining support words are U-normal.
-    Neither kind of rule needs an elimination: ``single_rule`` divides a
-    seed by its leading coefficient, and w - image is monic with leading
-    word w.  Every U-reducible word of the family's supports is thus a key
-    of the family, which ``complete`` relies on.
+    """Turn seeds into single-rule operators, expanding any U-reducible
+    support word w into the rule w -> image of one rewriting step at
+    ``U.redex(w)``, until all remaining support words are U-normal.  A seed
+    is a nonzero polynomial, whose rule ``single_rule`` makes by dividing
+    it by its leading coefficient, or already a single-rule operator over
+    U's order, which is taken as it is.  Neither kind of rule needs an
+    elimination, nor does an expansion: w - image is monic with leading
+    word w, and it is built as an extension of U's rule, so its kernel row
+    is U's row relabelled.  Every U-reducible word of the family's supports
+    is thus a key of the family, which ``complete`` relies on.
 
     The greatest eligible word goes first.  An expansion only adds smaller
     words, so the words are taken from a deg-lex heap and each is matched
@@ -98,18 +104,26 @@ def normalisation(
     repeat a member.
     """
     order = U.order
-    if any(f.is_zero() for f in seeds):
-        raise ValueError("normalisation seeds must be nonzero")
     family: list[ReductionOperator] = []
     seed_images: dict[Word, list[Polynomial]] = {}
     for f in seeds:
-        rule = single_rule(f, order)
+        if isinstance(f, ReductionOperator):
+            if len(f.rules) != 1 or (f.order is not order and f.order != order):
+                raise ValueError("an operator seed must be one rule over U's order")
+            rule = f
+        elif f.is_zero():
+            raise ValueError("normalisation seeds must be nonzero")
+        else:
+            rule = single_rule(f, order)
         ((w, image),) = rule.rules.items()
         images = seed_images.setdefault(w, [])
         if image not in images:
             images.append(image)
             family.append(rule)
-    worklist = _Descending({w for f in seeds for w in f.support()} - seed_images.keys())
+    worklist = _Descending(
+        {u for images in seed_images.values() for image in images for u in image._terms}
+        - seed_images.keys()
+    )
     redex = U.redex
     for w in worklist:
         if (hit := redex(w)) is None:
@@ -117,7 +131,7 @@ def normalisation(
         i, key = hit
         image = U.rules[key].sandwich(w[:i], w[i + len(key) :])
         if image not in seed_images.get(w, ()):
-            family.append(ReductionOperator._trusted(order, {w: image}))
+            family.append(ReductionOperator._trusted(order, {w: image}, (U, key)))
         worklist.push(image.support())
     return family
 
@@ -142,34 +156,44 @@ def _meet_complement(U: ReductionOperator, comp: ReductionOperator) -> Reduction
 
 def _seeds(
     P: Presentation, branchings: list[CriticalBranching]
-) -> list[Polynomial]:
+) -> tuple[list[Polynomial], list[ReductionOperator]]:
     """Both one-step legs w - S_{n,m}(w) of every branching, deduplicated,
-    in order of first appearance.
+    in order of first appearance, and the rule w -> S_{n,m}(w) of each.
 
-    Each leg is built once, as w with coefficient 1 followed by the negated
-    image.  The middle factor of a branching's extension is a key, whose
-    image is smaller, so every word of the image is smaller than w, and w
-    leads the leg.  The image holds w only when the middle factor is not a
-    key, and then it is w itself and the leg is zero.  Legs with different
-    leading words differ, so each image is compared only with the earlier
-    images of its own source.
+    A leg at offsets (n, m) is l.(k - U(k)).r for the middle factor k of w,
+    a key of U, and w = l.k.r.  Its image l.U(k).r is built once, and the
+    leg is w with coefficient 1 followed by the negated image.  U(k) is
+    smaller than k, so every word of the image is smaller than w, and w
+    leads the leg.  Its rule is an extension of U's rule for k, so its
+    kernel row is U's row of k relabelled.  A middle factor that is not a
+    key gives a zero leg.  Legs with different leading words differ, so
+    each image is compared only with the earlier images of its own source.
     """
+    U = P.operator
+    order, rules = U.order, U.rules
     one = Fraction(1)
+    vectors: dict[Word, tuple[Fraction, ...]] = {}
     seen: dict[Word, list[Polynomial]] = {}
     legs = []
+    leg_rules = []
     for b in branchings:
         w = b.source
         images = seen.setdefault(w, [])
         for n, m in (b.left, b.right):
-            image = extension_apply(P, n, m, w)
-            if w in image._terms or image in images:
+            key = w[n : len(w) - m]
+            if key not in rules:
+                continue
+            image = rules[key].sandwich(w[:n], w[len(w) - m :])
+            if image in images:
                 continue
             images.append(image)
-            terms = {w: one}
-            for u, c in image.items():
-                terms[u] = -c
-            legs.append(Polynomial._trusted(terms))
-    return legs
+            # The coefficients of k - U(k), negated once per key.
+            vector = vectors.get(key)
+            if vector is None:
+                vector = vectors[key] = (one, *(-c for _, c in rules[key].items()))
+            legs.append(Polynomial._trusted(dict(zip((w, *image._terms), vector))))
+            leg_rules.append(ReductionOperator._trusted(order, {w: image}, (U, key)))
+    return legs, leg_rules
 
 
 def complete(P: Presentation, limits: CompletionLimits | None = None) -> CompletionResult:
@@ -197,8 +221,8 @@ def complete(P: Presentation, limits: CompletionLimits | None = None) -> Complet
             return CompletionResult(pres, tuple(steps), ITERATION_CAP)
         seen |= fresh
         current = list(merge(previous, new, key=lambda b: _branching_key(order, b)))
-        seeds = _seeds(pres, new)
-        family = normalisation(seeds, pres.operator)
+        seeds, seed_rules = _seeds(pres, new)
+        family = normalisation(seed_rules, pres.operator)
         comp = complement(family)
         op_next = _meet_complement(pres.operator, comp)
         steps.append(

@@ -9,7 +9,11 @@ realises the lattice operations: meet by kernel sum, join by kernel
 intersection, and the complement by intersection with the normal-form
 words.  Each of ``ker_inv``, ``meet``, ``join`` and ``complement`` is one
 pass of ``linalg.eliminate``; ``_kernel_rows`` is the only crossing from
-rules to rows and ``_operator`` the only one back.  ``complement`` is the
+rules to rows and ``_operator`` the only one back.  An operator makes the
+primitive integer row of each key once, on first use, and caches it; an
+extension l.k.r -> l.U(k).r of a rule of U, as the completion loop builds
+its families, takes U's row of k relabelled, with no arithmetic.  Cached
+rows are read-only, so ``complement`` reduces copies.  ``complement`` is the
 structured elimination of F4: the first kernel row of each key is a
 reducer whose pivot is already known, every other row is reduced against
 the reducers by substitution, and only the residuals, which hold no key,
@@ -31,7 +35,7 @@ from .words import DegLexOrder, Word
 class ReductionOperator:
     """Idempotent projector given by an inter-reduced rule map ``word -> polynomial``."""
 
-    __slots__ = ("order", "_rules", "_max_key_len")
+    __slots__ = ("order", "_rules", "_max_key_len", "_rows", "_origin")
 
     def __init__(self, order: DegLexOrder, rules: Mapping[Word, Polynomial]):
         rules = dict(rules)
@@ -44,15 +48,28 @@ class ReductionOperator:
         self.order = order
         self._rules = rules
         self._max_key_len = max(map(len, rules), default=0)
+        self._rows: dict = {}
+        self._origin = None
 
     @classmethod
-    def _trusted(cls, order: DegLexOrder, rules: dict[Word, Polynomial]) -> "ReductionOperator":
+    def _trusted(
+        cls,
+        order: DegLexOrder,
+        rules: dict[Word, Polynomial],
+        origin: tuple["ReductionOperator", Word] | None = None,
+    ) -> "ReductionOperator":
         """The operator of a rule map the engine built, inter-reduced with
-        images smaller than their words by construction; taken as it is."""
+        images smaller than their words by construction; taken as it is.
+
+        ``origin`` is (U, k) for the one rule l.k.r -> l.U(k).r, whose image
+        is ``U.rules[k].sandwich(l, r)``: its row is then U's row of k with
+        every word u relabelled l.u.r."""
         self = cls.__new__(cls)
         self.order = order
         self._rules = rules
         self._max_key_len = max(map(len, rules), default=0)
+        self._rows = {}
+        self._origin = origin
         return self
 
     @property
@@ -84,6 +101,26 @@ class ReductionOperator:
             _add_multiple(out, c, {w: 1} if p is None else p._terms, None)
         return Polynomial._trusted(out)
 
+    def _row(self, w: Word) -> dict:
+        """The integer row {w: m, u: -c * m, ...} on the line of the kernel
+        vector w - T(w) of the key w, pivot first, then the words of T(w) in
+        their order.  m is the lcm of the denominators of T(w), so the row is
+        primitive.  Made on first use and cached, so it is read-only; the
+        row of an extension is its origin's row relabelled, with no
+        arithmetic: the words of l.U(k).r are those of U(k) relabelled, in
+        the same order."""
+        row = self._rows.get(w)
+        if row is None:
+            if self._origin is None:
+                terms = self._rules[w].items()
+                m = lcm(*(c.denominator for _, c in terms))
+                row = {w: m, **{u: -c.numerator * (m // c.denominator) for u, c in terms}}
+            else:
+                U, k = self._origin
+                row = dict(zip((w, *self._rules[w]._terms), U._row(k).values()))
+            self._rows[w] = row
+        return row
+
     def kernel_basis(self) -> list[Polynomial]:
         """Reduced basis {w - T(w) : w reducible}, by decreasing leading word."""
         rules = self._rules
@@ -111,16 +148,13 @@ def identity(order: DegLexOrder) -> ReductionOperator:
 
 
 def _kernel_rows(family: Iterable[ReductionOperator]) -> Iterator[dict]:
-    """The integer row {w: m, u: -c * m, ...} on the line of the kernel
-    vector w - T(w) of each rule, by decreasing w within each member; the
-    only crossing from rules to rows.  m is the lcm of the denominators of
-    T(w), so the row is primitive, and it starts at its pivot w."""
+    """The cached row ``T._row(w)`` of each rule, by decreasing w within
+    each member; the only crossing from rules to rows.  The rows are
+    read-only: a caller that changes one copies it first."""
     for T in family:
         rules = T.rules
-        for w in sorted(rules, key=T.order.key, reverse=True):
-            terms = rules[w].items()
-            m = lcm(*(c.denominator for _, c in terms))
-            yield {w: m, **{u: -c.numerator * (m // c.denominator) for u, c in terms}}
+        for w in sorted(rules, key=T.order.key, reverse=True) if len(rules) > 1 else rules:
+            yield T._row(w)
 
 
 def _operator(pivots: Mapping[Word, Mapping], order: DegLexOrder) -> ReductionOperator:
@@ -139,7 +173,7 @@ def _order(family: Sequence[ReductionOperator], operation: str) -> DegLexOrder:
     if not family:
         raise ValueError(f"{operation} of an empty family")
     order = family[0].order
-    if any(T.order != order for T in family):
+    if any(T.order is not order and T.order != order for T in family):
         raise ValueError("operator order mismatch")
     return order
 
@@ -255,6 +289,7 @@ def complement(family: Sequence[ReductionOperator]) -> ReductionOperator:
     key_cols: list = [None] * len(keys)
     residuals = []
     for row in others:
+        row = dict(row)  # the members' rows are cached: reduce a copy
         heap = [rank[col] for col in row if col in rank]
         heapify(heap)
         queued = set(heap)

@@ -3,6 +3,7 @@ import hashlib
 import random
 import time
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -27,7 +28,16 @@ from ncgb.presentation import (
     normal_form,
     s_polynomial,
 )
-from ncgb.reduction import ReductionOperator, identity, ker_inv, leq, meet, single_rule
+from ncgb.reduction import (
+    ReductionOperator,
+    _kernel_rows,
+    complement,
+    identity,
+    ker_inv,
+    leq,
+    meet,
+    single_rule,
+)
 from ncgb.words import Alphabet, DegLexOrder
 
 from conftest import (
@@ -141,7 +151,7 @@ def test_normalisation_heavy_step_is_fast():
     U = result.completed.operator
     current = Presentation(P.alphabet, P.order, U)
     previous = set(result.steps[-1].branchings)
-    seeds = _seeds(
+    seeds, _ = _seeds(
         current, [b for b in critical_branchings(current) if b not in previous]
     )
     assert len(seeds) == 84
@@ -200,19 +210,35 @@ def _seeds_reference(P, branchings):
     return list(dict.fromkeys(f for f in legs if f))
 
 
+def _row_reference(w, image):
+    """The primitive integer row of w - image, pivot first, by clearing the
+    denominators of image, as (word, int) pairs."""
+    m = lcm(*(c.denominator for _, c in image.items()))
+    return [(w, m)] + [(u, int(-c * m)) for u, c in image.items()]
+
+
 def test_seeds_match_subtraction_reference():
-    # _seeds builds each leg from the rule image and compares legs only
-    # within one source word; the reference subtracts and hashes.
+    # _seeds builds each leg and its rule from U's rule and compares legs
+    # only within one source word; the reference subtracts and hashes.  The
+    # rule's row is relabelled from U's row of the leg's key, with no
+    # arithmetic, and must be the row its image gives.
     for P, limits in _differential_cases():
         for step in complete(P, limits).steps:
             pres = Presentation(P.alphabet, P.order, step.operator_before)
             new = [b for b in step.branchings if b not in step.old_branchings]
-            got, expected = _seeds(pres, new), _seeds_reference(pres, new)
+            (got, rules), expected = _seeds(pres, new), _seeds_reference(pres, new)
             assert got == expected
             assert [list(f.items()) for f in got] == [list(f.items()) for f in expected]
             assert got == list(step.spol_seeds)
             for f in got:
                 assert all(type(c) is Fraction for _, c in f.items())
+            assert len(rules) == len(got)
+            for f, rule in zip(got, rules):
+                assert rule == single_rule(f, P.order)
+                ((leading, image),) = rule.rules.items()
+                row = rule._row(leading)
+                assert list(row.items()) == _row_reference(leading, image)
+                assert all(type(c) is int for c in row.values())
 
 
 def test_complete_hashes_no_polynomial_or_operator(monkeypatch):
@@ -251,6 +277,47 @@ def test_complete_eliminates_once_per_step(monkeypatch):
         result = complete(P, limits)
         assert len(result.steps) == 3
         assert len(calls) == len(result.steps)
+
+
+def test_complete_calls_no_single_rule(monkeypatch):
+    # _seeds builds every seed rule from U's rule and hands normalisation
+    # the rules; single_rule is left to polynomial seeds, one call each.
+    calls = []
+
+    def counting(f, order):
+        calls.append(f)
+        return single_rule(f, order)
+
+    monkeypatch.setattr(completion, "single_rule", counting)
+    monkeypatch.setattr(reduction, "single_rule", counting)
+    steps = [s for P, limits in _differential_cases() for s in complete(P, limits).steps]
+    assert calls == []
+    for step in steps:
+        seeds = list(step.spol_seeds)
+        calls.clear()
+        assert normalisation(seeds, step.operator_before) == list(step.normalised_family)
+        assert calls == seeds
+
+
+def test_complement_leaves_cached_rows_unchanged():
+    # Kernel rows are cached on their operators and shared, and a family
+    # member's row is relabelled from U's: complement reduces copies only.
+    P = parse_presentation(HEAVY_STEP_TEXT)
+    step = complete(P, CompletionLimits(10, 5)).steps[-1]
+    family = list(step.normalised_family)
+    assert len(family) == 1359
+    first, second = complement(family), complement(family)
+    assert list(first.rules.items()) == list(second.rules.items())
+    assert first == step.complement_op
+    fresh = [ReductionOperator(P.order, T.rules) for T in family]
+    assert list(meet(family).rules.items()) == list(meet(fresh).rules.items())
+    for ops in (family, [step.operator_before]):
+        expected = [
+            _row_reference(w, T.rules[w])
+            for T in ops
+            for w in sorted(T.rules, key=P.order.key, reverse=True)
+        ]
+        assert [list(row.items()) for row in _kernel_rows(ops)] == expected
 
 
 def test_complete_enumerates_only_new_keys(monkeypatch):
@@ -301,6 +368,18 @@ def test_complete_enumerates_only_new_keys(monkeypatch):
 def test_normalisation_rejects_zero_seed(order):
     with pytest.raises(ValueError):
         normalisation([Polynomial.zero()], identity(order))
+
+
+def test_normalisation_rejects_operator_seed_not_one_rule(ab, order):
+    U = identity(order)
+    rule = single_rule(p(ab, "y.z - x"), order)
+    assert normalisation([rule], U) == [rule]
+    two = ker_inv([p(ab, "y.z - x"), p(ab, "z.x - x.y")], order)
+    xyzt = Alphabet(("x", "y", "z", "t"))
+    elsewhere = single_rule(p(xyzt, "y.z - x"), DegLexOrder(xyzt))
+    for seed in (identity(order), two, elsewhere):
+        with pytest.raises(ValueError):
+            normalisation([rule, seed], U)
 
 
 def test_complete_braided_example(ab, braided):

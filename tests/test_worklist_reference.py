@@ -69,5 +69,8 @@ def test_normalisation_matches_reference_on_every_step():
             expected = reference_normalisation(seeds, step.operator_before)
             assert list(step.normalised_family) == expected
             assert normalisation(seeds, step.operator_before) == expected
+            order = step.operator_before.order
+            rules = [single_rule(f, order) for f in seeds]
+            assert normalisation(rules, step.operator_before) == expected
             steps += 1
     assert steps == 68
