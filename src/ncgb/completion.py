@@ -11,13 +11,16 @@ key by substitution, and only the residuals are eliminated, as in F4.
 Building the family and meeting the complement into the operator are
 substitutions too.  Each leg w - S_{n,m}(w) = l.(k - U(k)).r and its rule
 w -> l.U(k).r are built once from U's rule for k, and ``normalisation``
-takes the rules as they are.  Every family member is such an extension
-of a rule of U, so its kernel row is U's cached row relabelled: a step
-calls no ``single_rule`` and clears no denominator to build its rows.  The
-legs and the seed rules are each deduplicated by leading word, so no
-polynomial or operator is hashed.  The loop stops when no new branchings
-appear, and at once when no new key does; caps convert potential
-non-termination into a status flag.
+takes the rules as they are.  Normalisation is F4's symbolic
+preprocessing, a closure that does not depend on the order in which words
+are visited: a stack visits them, and the expansions are sorted once, by
+decreasing key.  Every family member is such an extension of a rule of
+U, so its kernel row is U's cached row relabelled: a step calls no
+``single_rule`` and clears no denominator to build its rows.  The legs and
+the seed rules are each deduplicated by leading word, so no polynomial or
+operator is hashed.  The loop stops when no new branchings appear, and at
+once when no new key does; caps convert potential non-termination into a
+status flag.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .reduction import ReductionOperator, complement, single_rule
 # ``meet``.  The name stays bound here because the benchmark declares a
 # per-layer metric on ``ncgb.completion.meet``.
 from .reduction import meet  # noqa: F401
-from .words import Word, _Descending
+from .words import Word
 
 CONVERGED = "converged"
 ITERATION_CAP = "iteration_cap"
@@ -91,17 +94,18 @@ def normalisation(
     is U's row relabelled.  Every U-reducible word of the family's supports
     is thus a key of the family, which ``complete`` relies on.
 
-    The greatest eligible word goes first.  An expansion only adds smaller
-    words, so the words are taken from a deg-lex heap and each is matched
-    once.  The seeds' leading words are left out of the starting worklist
-    only: one that turns up in a later image is expanded like any other
-    word.  The family holds each operator once, in order of first
-    appearance.  Two single-rule operators are equal when they share their
-    one key and its image, so the seed rules are deduplicated by leading
-    word, comparing images only with those of the same word, and nothing
-    is hashed.  The worklist hands out each word once, so no two expansions
-    share a key, and only an expansion keyed by a seed's leading word can
-    repeat a member.
+    This is F4's symbolic preprocessing: the closure of the seeds' support
+    words under the words of one-step images.  The seeds' leading words are
+    left out of the starting words only: one that turns up in a later image
+    is expanded like any other word.  Each word is queued once and matched
+    once, and its expansion depends on the word alone, so the closure does
+    not depend on the visiting order, and a plain stack serves.  The family
+    is the seed rules in order of first appearance, then the expansions by
+    decreasing key.  Two single-rule operators are equal when they share
+    their one key and its image, so the seed rules are deduplicated by
+    leading word, comparing images only with those of the same word, and
+    nothing is hashed.  No two expansions share a key, and only an
+    expansion keyed by a seed's leading word can repeat a member.
     """
     order = U.order
     family: list[ReductionOperator] = []
@@ -120,19 +124,25 @@ def normalisation(
         if image not in images:
             images.append(image)
             family.append(rule)
-    worklist = _Descending(
-        {u for images in seed_images.values() for image in images for u in image._terms}
-        - seed_images.keys()
-    )
+    queued = {
+        u for images in seed_images.values() for image in images for u in image._terms
+    } - seed_images.keys()
+    stack = list(queued)
+    expansions: dict[Word, ReductionOperator] = {}
     redex = U.redex
-    for w in worklist:
+    while stack:
+        w = stack.pop()
         if (hit := redex(w)) is None:
             continue
         i, key = hit
         image = U.rules[key].sandwich(w[:i], w[i + len(key) :])
         if image not in seed_images.get(w, ()):
-            family.append(ReductionOperator._trusted(order, {w: image}, (U, key)))
-        worklist.push(image.support())
+            expansions[w] = ReductionOperator._trusted(order, {w: image}, (U, key))
+        for u in image._terms:
+            if u not in queued:
+                queued.add(u)
+                stack.append(u)
+    family += [expansions[w] for w in sorted(expansions, key=order.key, reverse=True)]
     return family
 
 

@@ -99,16 +99,18 @@ def format_polynomial(f: Polynomial, alphabet: Alphabet, order: DegLexOrder) -> 
         return "0"
     parts = []
     for w, c in sorted(f.items(), key=lambda it: order.key(it[0]), reverse=True):
-        if w and abs(c) == 1:
+        n, d = c.numerator, c.denominator
+        magnitude = f"{abs(n)}" if d == 1 else f"{abs(n)}/{d}"
+        if not w:
+            body = magnitude
+        elif magnitude == "1":
             body = format_word(w, alphabet)
-        elif w:
-            body = f"{abs(c)}*{format_word(w, alphabet)}"
         else:
-            body = str(abs(c))
+            body = f"{magnitude}*{format_word(w, alphabet)}"
         if not parts:
-            parts.append(body if c > 0 else f"-{body}")
+            parts.append(body if n > 0 else f"-{body}")
         else:
-            parts.append(("+ " if c > 0 else "- ") + body)
+            parts.append(("+ " if n > 0 else "- ") + body)
     return " ".join(parts)
 
 

@@ -93,11 +93,10 @@ def critical_branchings(
     # no branchings: the middle factor of an extension is always nonempty.
     everything = sorted((k for k in P.operator.rules if k), key=P.order.key)
     if keys is None:
-        pairs = product(everything, repeat=2)
-    else:
-        chosen = [k for k in everything if k in keys]
-        others = [k for k in everything if k not in keys]
-        pairs = chain(product(chosen, everything), product(others, chosen))
+        keys = P.operator.rules.keys()
+    chosen = [k for k in everything if k in keys]
+    others = [k for k in everything if k not in keys]
+    pairs = chain(product(chosen, everything), product(others, chosen))
     found: set[CriticalBranching] = set()
     for u, v in pairs:
         for a, _, c in overlaps(u, v):

@@ -12,14 +12,14 @@ pass of ``linalg.eliminate``; ``_kernel_rows`` is the only crossing from
 rules to rows and ``_operator`` the only one back.  An operator makes the
 primitive integer row of each key once, on first use, and caches it; an
 extension l.k.r -> l.U(k).r of a rule of U, as the completion loop builds
-its families, takes U's row of k relabelled, with no arithmetic.  Cached
-rows are read-only, so ``complement`` reduces copies.  ``complement`` is the
-structured elimination of F4: the first kernel row of each key is a
-reducer whose pivot is already known, every other row is reduced against
-the reducers by substitution, and only the residuals, which hold no key,
-are eliminated.  ``single_rule`` divides its polynomial by the leading
-coefficient, or negates it when that coefficient is 1, and needs no
-elimination.
+its families, relabels U's row of k on each read, with no arithmetic, and
+caches nothing.  Cached rows are read-only, so ``complement`` reduces
+copies.  ``complement`` is the structured elimination of F4: the first
+kernel row of each key is a reducer whose pivot is already known, every
+other row is reduced against the reducers by substitution, and only the
+residuals, which hold no key, are eliminated.  ``single_rule`` divides
+its polynomial by the leading coefficient, or negates it when that
+coefficient is 1, and needs no elimination.
 """
 
 from __future__ import annotations
@@ -105,19 +105,19 @@ class ReductionOperator:
         """The integer row {w: m, u: -c * m, ...} on the line of the kernel
         vector w - T(w) of the key w, pivot first, then the words of T(w) in
         their order.  m is the lcm of the denominators of T(w), so the row is
-        primitive.  Made on first use and cached, so it is read-only; the
-        row of an extension is its origin's row relabelled, with no
-        arithmetic: the words of l.U(k).r are those of U(k) relabelled, in
-        the same order."""
+        primitive.  The row of an extension is its origin's row relabelled,
+        with no arithmetic: the words of l.U(k).r are those of U(k)
+        relabelled, in the same order.  It is made on each read, because a
+        family's rows are read once.  Any other row is made on first use and
+        cached, so it is read-only."""
+        if self._origin is not None:
+            U, k = self._origin
+            return dict(zip((w, *self._rules[w]._terms), U._row(k).values()))
         row = self._rows.get(w)
         if row is None:
-            if self._origin is None:
-                terms = self._rules[w].items()
-                m = lcm(*(c.denominator for _, c in terms))
-                row = {w: m, **{u: -c.numerator * (m // c.denominator) for u, c in terms}}
-            else:
-                U, k = self._origin
-                row = dict(zip((w, *self._rules[w]._terms), U._row(k).values()))
+            terms = self._rules[w].items()
+            m = lcm(*(c.denominator for _, c in terms))
+            row = {w: m, **{u: -c.numerator * (m // c.denominator) for u, c in terms}}
             self._rows[w] = row
         return row
 
@@ -289,7 +289,7 @@ def complement(family: Sequence[ReductionOperator]) -> ReductionOperator:
     key_cols: list = [None] * len(keys)
     residuals = []
     for row in others:
-        row = dict(row)  # the members' rows are cached: reduce a copy
+        row = dict(row)  # a member's row may be cached: reduce a copy
         heap = [rank[col] for col in row if col in rank]
         heapify(heap)
         queued = set(heap)

@@ -2,15 +2,14 @@
 
 Words are stored as tuples of alphabet indices, so multi-character symbol
 names cost nothing and tuple comparison realises the base lexicographic
-order directly.
+order directly.  ``DegLexOrder.key`` is the sort key of every ordered
+output of the engine.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from operator import neg
-from typing import Iterable, Iterator
+from typing import Iterator
 
 Word = tuple[int, ...]
 
@@ -55,34 +54,6 @@ class DegLexOrder:
 
     def less(self, u: Word, v: Word) -> bool:
         return self.key(u) < self.key(v)
-
-
-class _Descending:
-    """Worklist that hands out words greatest first under deg-lex.
-
-    A word is queued at most once, even after it has been handed out.  That
-    is sound where every word pushed is smaller than the one just handed
-    out, as in a rewriting loop under a monomial order: a word handed out
-    never comes back.  ``heapq`` is a min-heap, so each word is queued under
-    its deg-lex key with every component negated.
-    """
-
-    __slots__ = ("_heap", "_queued")
-
-    def __init__(self, words: Iterable[Word]) -> None:
-        self._heap: list[tuple[int, Word, Word]] = []
-        self._queued: set[Word] = set()
-        self.push(words)
-
-    def push(self, words: Iterable[Word]) -> None:
-        for w in words:
-            if w not in self._queued:
-                self._queued.add(w)
-                heapq.heappush(self._heap, (-len(w), tuple(map(neg, w)), w))
-
-    def __iter__(self) -> Iterator[Word]:
-        while self._heap:
-            yield heapq.heappop(self._heap)[2]
 
 
 def factor_occurrences(w: Word, u: Word) -> list[tuple[int, int]]:

@@ -295,19 +295,29 @@ def test_complete_calls_no_single_rule(monkeypatch):
     for step in steps:
         seeds = list(step.spol_seeds)
         calls.clear()
-        assert normalisation(seeds, step.operator_before) == list(step.normalised_family)
+        family = list(step.normalised_family)
+        assert normalisation(seeds, step.operator_before) == family
         assert calls == seeds
+        # The family is the deduplicated seed rules, then the expansions by
+        # strictly decreasing key under deg-lex.
+        order = step.operator_before.order
+        seed_rules = list(dict.fromkeys(single_rule(f, order) for f in seeds))
+        assert family[: len(seed_rules)] == seed_rules
+        keys = [order.key(next(iter(T.rules))) for T in family[len(seed_rules) :]]
+        assert all(a > b for a, b in zip(keys, keys[1:]))
 
 
 def test_complement_leaves_cached_rows_unchanged():
     # Kernel rows are cached on their operators and shared, and a family
     # member's row is relabelled from U's: complement reduces copies only.
+    # A member's row is made on each read and cached nowhere.
     P = parse_presentation(HEAVY_STEP_TEXT)
     step = complete(P, CompletionLimits(10, 5)).steps[-1]
     family = list(step.normalised_family)
     assert len(family) == 1359
     first, second = complement(family), complement(family)
     assert list(first.rules.items()) == list(second.rules.items())
+    assert all(T._rows == {} for T in family)
     assert first == step.complement_op
     fresh = [ReductionOperator(P.order, T.rules) for T in family]
     assert list(meet(family).rules.items()) == list(meet(fresh).rules.items())

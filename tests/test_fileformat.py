@@ -95,6 +95,28 @@ def test_format_polynomial_canonical(ab, order):
     assert format_polynomial(p(ab, "-x"), ab, order) == "-x"
 
 
+def test_format_polynomial_signs_and_fractions(ab, order):
+    # Each coefficient's text is built from its numerator and denominator:
+    # a unit magnitude is left out before a word but not on the constant.
+    f = Polynomial(
+        {
+            w(ab, "yxy"): Fraction(-2, 3),
+            w(ab, "xx"): Fraction(1),
+            w(ab, "yz"): Fraction(-1),
+            w(ab, "z"): Fraction(5, 7),
+            w(ab, "x"): Fraction(-7, 2),
+            w(ab, "1"): Fraction(4),
+        }
+    )
+    text = format_polynomial(f, ab, order)
+    assert text == "-2/3*y.x.y - y.z + x.x + 5/7*z - 7/2*x + 4"
+    assert parse_polynomial(text, ab) == f
+    assert format_polynomial(p(ab, "-x.y + 1"), ab, order) == "-x.y + 1"
+    assert format_polynomial(p(ab, "x - 1"), ab, order) == "x - 1"
+    assert format_polynomial(p(ab, "-3/4"), ab, order) == "-3/4"
+    assert format_polynomial(p(ab, "-1"), ab, order) == "-1"
+
+
 def test_polynomial_round_trip_random(ab, order):
     rng = random.Random(61)
     ambient = all_words(ab, 3)
