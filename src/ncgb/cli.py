@@ -129,15 +129,16 @@ def _cmd_oracle(args) -> int:
     lattice_rules = oracle.RuleSet.from_polynomials(
         groebner_rules(lattice.completed), P.order
     )
-    lhs = oracle.lm_set_up_to_degree(lattice_rules, args.max_deg)
-    rhs = oracle.lm_set_up_to_degree(naive.rules, args.max_deg)
-    if lhs == rhs:
+    lattice_only, oracle_only = oracle.leading_word_witnesses(
+        lattice_rules, naive.rules, args.max_deg
+    )
+    if not lattice_only and not oracle_only:
         print("AGREE")
         return 0
-    witnesses = sorted(lhs ^ rhs, key=P.order.key)
+    witnesses = [(w, "lattice only") for w in lattice_only]
+    witnesses += [(w, "oracle only") for w in oracle_only]
     print("DISAGREE")
-    for w in witnesses:
-        side = "lattice only" if w in lhs else "oracle only"
+    for w, side in sorted(witnesses, key=lambda item: P.order.key(item[0])):
         print(f"  {format_word(w, P.alphabet)} ({side})")
     return 1
 

@@ -9,16 +9,17 @@ in one batch rather than one at a time, and it is the step's only
 elimination: the family's rows are reduced against one reducer row per
 key by substitution, and only the residuals are eliminated, as in F4.
 Building the family and meeting the complement into the operator are
-substitutions too.  Each leg w - S_{n,m}(w) = l.(k - U(k)).r and its rule
-w -> l.U(k).r are built once from U's rule for k, and ``normalisation``
-takes the rules as they are.  Normalisation is F4's symbolic
-preprocessing, a closure that does not depend on the order in which words
-are visited: a stack visits them, and the expansions are sorted once, by
-decreasing key.  Every family member is such an extension of a rule of
-U, so its kernel row is U's cached row relabelled: a step calls no
-``single_rule`` and clears no denominator to build its rows.  The legs and
-the seed rules are each deduplicated by leading word, so no polynomial or
-operator is hashed.  The loop stops when no new branchings appear, and at
+substitutions too.  The seeds are the rules w -> l.U(k).r of the legs
+w - S_{n,m}(w) = l.(k - U(k)).r, built from U's rule for k, and
+``normalisation`` takes the rules as they are and deduplicates them by
+leading word, so no polynomial or operator is hashed.  Normalisation is
+F4's symbolic preprocessing, a closure that does not depend on the order in
+which words are visited: a stack visits them, and the expansions are
+sorted once, by decreasing key.  Every family member is a plain single-rule
+operator, and ``complement`` clears the denominators of its image to make
+its kernel row.  A step calls no ``single_rule`` and builds no leg: the
+legs are rebuilt from the rules only when ``CompletionStep.spol_seeds`` is
+read.  The loop stops when no new branchings appear, and at
 once when no new key does; caps convert potential non-termination into a
 status flag.
 """
@@ -26,7 +27,6 @@ status flag.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from heapq import merge
 
 from .linalg import Polynomial
@@ -67,10 +67,18 @@ class CompletionStep:
     operator_before: ReductionOperator
     branchings: tuple[CriticalBranching, ...]
     old_branchings: tuple[CriticalBranching, ...]
-    spol_seeds: tuple[Polynomial, ...]
     normalised_family: tuple[ReductionOperator, ...]
     complement_op: ReductionOperator
     operator_after: ReductionOperator
+
+    @property
+    def spol_seeds(self) -> tuple[Polynomial, ...]:
+        """Both one-step legs w - S_{n,m}(w) of every new branching,
+        deduplicated, in order of first appearance; rebuilt on each read."""
+        old = set(self.old_branchings)
+        new = [b for b in self.branchings if b not in old]
+        rules = _seeds(self.operator_before, new)
+        return tuple(dict.fromkeys(T.kernel_basis()[0] for T in rules))
 
 
 @dataclass(frozen=True)
@@ -90,9 +98,8 @@ def normalisation(
     it by its leading coefficient, or already a single-rule operator over
     U's order, which is taken as it is.  Neither kind of rule needs an
     elimination, nor does an expansion: w - image is monic with leading
-    word w, and it is built as an extension of U's rule, so its kernel row
-    is U's row relabelled.  Every U-reducible word of the family's supports
-    is thus a key of the family, which ``complete`` relies on.
+    word w.  Every U-reducible word of the family's supports is thus a key
+    of the family, which ``complete`` relies on.
 
     This is F4's symbolic preprocessing: the closure of the seeds' support
     words under the words of one-step images.  The seeds' leading words are
@@ -137,7 +144,7 @@ def normalisation(
         i, key = hit
         image = U.rules[key].sandwich(w[:i], w[i + len(key) :])
         if image not in seed_images.get(w, ()):
-            expansions[w] = ReductionOperator._trusted(order, {w: image}, (U, key))
+            expansions[w] = ReductionOperator._trusted(order, {w: image})
         for u in image._terms:
             if u not in queued:
                 queued.add(u)
@@ -164,46 +171,26 @@ def _meet_complement(U: ReductionOperator, comp: ReductionOperator) -> Reduction
     )
 
 
-def _seeds(
-    P: Presentation, branchings: list[CriticalBranching]
-) -> tuple[list[Polynomial], list[ReductionOperator]]:
-    """Both one-step legs w - S_{n,m}(w) of every branching, deduplicated,
-    in order of first appearance, and the rule w -> S_{n,m}(w) of each.
+def _seeds(U: ReductionOperator, branchings: list[CriticalBranching]) -> list[ReductionOperator]:
+    """The rule w -> S_{n,m}(w) of each nonzero one-step leg of every
+    branching, in order.
 
     A leg at offsets (n, m) is l.(k - U(k)).r for the middle factor k of w,
-    a key of U, and w = l.k.r.  Its image l.U(k).r is built once, and the
-    leg is w with coefficient 1 followed by the negated image.  U(k) is
-    smaller than k, so every word of the image is smaller than w, and w
-    leads the leg.  Its rule is an extension of U's rule for k, so its
-    kernel row is U's row of k relabelled.  A middle factor that is not a
-    key gives a zero leg.  Legs with different leading words differ, so
-    each image is compared only with the earlier images of its own source.
+    a key of U, and w = l.k.r.  Its rule's image l.U(k).r is built from U's
+    rule for k.  U(k) is smaller than k, so every word of the image is
+    smaller than w.  A middle factor that is not a key gives a zero leg and
+    no rule.  Repeated rules are left to ``normalisation``.
     """
-    U = P.operator
     order, rules = U.order, U.rules
-    one = Fraction(1)
-    vectors: dict[Word, tuple[Fraction, ...]] = {}
-    seen: dict[Word, list[Polynomial]] = {}
-    legs = []
-    leg_rules = []
+    out = []
     for b in branchings:
         w = b.source
-        images = seen.setdefault(w, [])
         for n, m in (b.left, b.right):
             key = w[n : len(w) - m]
-            if key not in rules:
-                continue
-            image = rules[key].sandwich(w[:n], w[len(w) - m :])
-            if image in images:
-                continue
-            images.append(image)
-            # The coefficients of k - U(k), negated once per key.
-            vector = vectors.get(key)
-            if vector is None:
-                vector = vectors[key] = (one, *(-c for _, c in rules[key].items()))
-            legs.append(Polynomial._trusted(dict(zip((w, *image._terms), vector))))
-            leg_rules.append(ReductionOperator._trusted(order, {w: image}, (U, key)))
-    return legs, leg_rules
+            if key in rules:
+                image = rules[key].sandwich(w[:n], w[len(w) - m :])
+                out.append(ReductionOperator._trusted(order, {w: image}))
+    return out
 
 
 def complete(P: Presentation, limits: CompletionLimits | None = None) -> CompletionResult:
@@ -231,8 +218,7 @@ def complete(P: Presentation, limits: CompletionLimits | None = None) -> Complet
             return CompletionResult(pres, tuple(steps), ITERATION_CAP)
         seen |= fresh
         current = list(merge(previous, new, key=lambda b: _branching_key(order, b)))
-        seeds, seed_rules = _seeds(pres, new)
-        family = normalisation(seed_rules, pres.operator)
+        family = normalisation(_seeds(pres.operator, new), pres.operator)
         comp = complement(family)
         op_next = _meet_complement(pres.operator, comp)
         steps.append(
@@ -241,7 +227,6 @@ def complete(P: Presentation, limits: CompletionLimits | None = None) -> Complet
                 operator_before=pres.operator,
                 branchings=tuple(current),
                 old_branchings=tuple(previous),
-                spol_seeds=tuple(seeds),
                 normalised_family=tuple(family),
                 complement_op=comp,
                 operator_after=op_next,

@@ -141,3 +141,33 @@ def lm_set_up_to_degree(R: RuleSet, d: int) -> set[Word]:
             ):
                 out.add(w)
     return out
+
+
+def leading_word_witnesses(
+    R1: RuleSet, R2: RuleSet, d: int
+) -> tuple[list[Word], list[Word]]:
+    """For each side, its distinct leading words of length <= d that no
+    leading word of the other side divides (occurs in as a factor), by
+    increasing order.
+
+    Both lists are empty exactly when the two sides have the same
+    ``lm_set_up_to_degree(., d)``: a word of length <= d is reducible when
+    it holds a leading word of length <= d, so the sets differ only if one
+    such leading word is not reducible by the other side.  The words listed
+    are then the leading words among the symmetric difference.  The cost is
+    polynomial in d and the number of rules; no word is enumerated.
+    """
+
+    def unreduced(R: RuleSet, other: RuleSet) -> list[Word]:
+        divisors = set(other.leading_words())
+        words = {
+            u
+            for u in R.leading_words()
+            if len(u) <= d
+            and not any(
+                u[i:j] in divisors for i in range(len(u) + 1) for j in range(i, len(u) + 1)
+            )
+        }
+        return sorted(words, key=R.order.key)
+
+    return unreduced(R1, R2), unreduced(R2, R1)

@@ -9,17 +9,15 @@ realises the lattice operations: meet by kernel sum, join by kernel
 intersection, and the complement by intersection with the normal-form
 words.  Each of ``ker_inv``, ``meet``, ``join`` and ``complement`` is one
 pass of ``linalg.eliminate``; ``_kernel_rows`` is the only crossing from
-rules to rows and ``_operator`` the only one back.  An operator makes the
-primitive integer row of each key once, on first use, and caches it; an
-extension l.k.r -> l.U(k).r of a rule of U, as the completion loop builds
-its families, relabels U's row of k on each read, with no arithmetic, and
-caches nothing.  Cached rows are read-only, so ``complement`` reduces
-copies.  ``complement`` is the structured elimination of F4: the first
-kernel row of each key is a reducer whose pivot is already known, every
-other row is reduced against the reducers by substitution, and only the
-residuals, which hold no key, are eliminated.  ``single_rule`` divides
-its polynomial by the leading coefficient, or negates it when that
-coefficient is 1, and needs no elimination.
+rules to rows and ``_operator`` the only one back.  The primitive integer
+row of a key is made from its image each time it is read, by clearing the
+denominators, and it is not cached: a completion step reads each of its
+family's rows once.  ``complement`` is the structured elimination of F4:
+the first kernel row of each key is a reducer whose pivot is already
+known, every other row is reduced against the reducers by substitution,
+and only the residuals, which hold no key, are eliminated.
+``single_rule`` divides its polynomial by the leading coefficient, or
+negates it when that coefficient is 1, and needs no elimination.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ from .words import DegLexOrder, Word
 class ReductionOperator:
     """Idempotent projector given by an inter-reduced rule map ``word -> polynomial``."""
 
-    __slots__ = ("order", "_rules", "_max_key_len", "_rows", "_origin")
+    __slots__ = ("order", "_rules", "_max_key_len")
 
     def __init__(self, order: DegLexOrder, rules: Mapping[Word, Polynomial]):
         rules = dict(rules)
@@ -48,28 +46,15 @@ class ReductionOperator:
         self.order = order
         self._rules = rules
         self._max_key_len = max(map(len, rules), default=0)
-        self._rows: dict = {}
-        self._origin = None
 
     @classmethod
-    def _trusted(
-        cls,
-        order: DegLexOrder,
-        rules: dict[Word, Polynomial],
-        origin: tuple["ReductionOperator", Word] | None = None,
-    ) -> "ReductionOperator":
+    def _trusted(cls, order: DegLexOrder, rules: dict[Word, Polynomial]) -> "ReductionOperator":
         """The operator of a rule map the engine built, inter-reduced with
-        images smaller than their words by construction; taken as it is.
-
-        ``origin`` is (U, k) for the one rule l.k.r -> l.U(k).r, whose image
-        is ``U.rules[k].sandwich(l, r)``: its row is then U's row of k with
-        every word u relabelled l.u.r."""
+        images smaller than their words by construction; taken as it is."""
         self = cls.__new__(cls)
         self.order = order
         self._rules = rules
         self._max_key_len = max(map(len, rules), default=0)
-        self._rows = {}
-        self._origin = origin
         return self
 
     @property
@@ -105,21 +90,10 @@ class ReductionOperator:
         """The integer row {w: m, u: -c * m, ...} on the line of the kernel
         vector w - T(w) of the key w, pivot first, then the words of T(w) in
         their order.  m is the lcm of the denominators of T(w), so the row is
-        primitive.  The row of an extension is its origin's row relabelled,
-        with no arithmetic: the words of l.U(k).r are those of U(k)
-        relabelled, in the same order.  It is made on each read, because a
-        family's rows are read once.  Any other row is made on first use and
-        cached, so it is read-only."""
-        if self._origin is not None:
-            U, k = self._origin
-            return dict(zip((w, *self._rules[w]._terms), U._row(k).values()))
-        row = self._rows.get(w)
-        if row is None:
-            terms = self._rules[w].items()
-            m = lcm(*(c.denominator for _, c in terms))
-            row = {w: m, **{u: -c.numerator * (m // c.denominator) for u, c in terms}}
-            self._rows[w] = row
-        return row
+        primitive.  A new row is made on each read, and the caller owns it."""
+        terms = self._rules[w].items()
+        m = lcm(*(c.denominator for _, c in terms))
+        return {w: m, **{u: -c.numerator * (m // c.denominator) for u, c in terms}}
 
     def kernel_basis(self) -> list[Polynomial]:
         """Reduced basis {w - T(w) : w reducible}, by decreasing leading word."""
@@ -148,9 +122,10 @@ def identity(order: DegLexOrder) -> ReductionOperator:
 
 
 def _kernel_rows(family: Iterable[ReductionOperator]) -> Iterator[dict]:
-    """The cached row ``T._row(w)`` of each rule, by decreasing w within
-    each member; the only crossing from rules to rows.  The rows are
-    read-only: a caller that changes one copies it first."""
+    """The row ``T._row(w)`` of each rule, by decreasing w within each
+    member; the only crossing from rules to rows.  Each row is new, so a
+    caller may change it.  A single-rule member, such as a completion
+    step's family member, needs no sort."""
     for T in family:
         rules = T.rules
         for w in sorted(rules, key=T.order.key, reverse=True) if len(rules) > 1 else rules:
@@ -289,7 +264,6 @@ def complement(family: Sequence[ReductionOperator]) -> ReductionOperator:
     key_cols: list = [None] * len(keys)
     residuals = []
     for row in others:
-        row = dict(row)  # a member's row may be cached: reduce a copy
         heap = [rank[col] for col in row if col in rank]
         heapify(heap)
         queued = set(heap)

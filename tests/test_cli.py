@@ -1,5 +1,6 @@
 import pytest
 
+from ncgb import oracle
 from ncgb.cli import main
 
 from conftest import BRAIDED_TEXT, COMPLETED_BRAIDED_TEXT
@@ -175,6 +176,35 @@ def test_branchings(braided_file, completed_file, capsys):
 def test_oracle(braided_file, capsys):
     assert main(["oracle", braided_file]) == 0
     assert "AGREE" in capsys.readouterr().out
+
+
+def test_oracle_enumerates_no_words(braided_file, capsys, monkeypatch):
+    # The CLI compares leading words only; listing the |A|^d words of
+    # length <= d took 3 s at --max-deg 11 and tripled with each degree.
+    def enumerating(R, d):
+        raise AssertionError("lm_set_up_to_degree called")
+
+    monkeypatch.setattr(oracle, "lm_set_up_to_degree", enumerating)
+    assert main(["oracle", braided_file, "--max-deg", "30"]) == 0
+    assert capsys.readouterr().out == "AGREE\n"
+
+
+def test_oracle_disagree_lists_leading_word_witnesses(braided_file, capsys, monkeypatch):
+    # An oracle that stops at the input rules lacks the three rules the
+    # lattice completion adds; each is a witness, and nothing else is.
+    def stopped(R, degree_cap, iteration_cap):
+        return oracle.BuchbergerResult(R, converged=True)
+
+    monkeypatch.setattr(oracle, "buchberger", stopped)
+    assert main(["oracle", braided_file]) == 1
+    assert capsys.readouterr().out == (
+        "DISAGREE\n"
+        "  y.x.x (lattice only)\n"
+        "  y.x.y (lattice only)\n"
+        "  y.x.x.x (lattice only)\n"
+    )
+    assert main(["oracle", braided_file, "--max-deg", "3"]) == 1
+    assert "y.x.x.x" not in capsys.readouterr().out
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

@@ -151,9 +151,7 @@ def test_normalisation_heavy_step_is_fast():
     U = result.completed.operator
     current = Presentation(P.alphabet, P.order, U)
     previous = set(result.steps[-1].branchings)
-    seeds, _ = _seeds(
-        current, [b for b in critical_branchings(current) if b not in previous]
-    )
+    seeds = _seeds(U, [b for b in critical_branchings(current) if b not in previous])
     assert len(seeds) == 84
     start = time.perf_counter()
     family = normalisation(seeds, U)
@@ -200,14 +198,19 @@ def test_operator_after_matches_meet():
                 assert all(type(c) is Fraction for _, c in image.items())
 
 
-def _seeds_reference(P, branchings):
-    """The legs by generic subtraction, deduplicated by hashing."""
+def _legs_reference(P, branchings):
+    """The nonzero legs by generic subtraction, in order."""
     legs = (
         Polynomial.monomial(b.source) - extension_apply(P, n, m, b.source)
         for b in branchings
         for n, m in (b.left, b.right)
     )
-    return list(dict.fromkeys(f for f in legs if f))
+    return [f for f in legs if f]
+
+
+def _seeds_reference(P, branchings):
+    """The legs by generic subtraction, deduplicated by hashing."""
+    return list(dict.fromkeys(_legs_reference(P, branchings)))
 
 
 def _row_reference(w, image):
@@ -218,22 +221,22 @@ def _row_reference(w, image):
 
 
 def test_seeds_match_subtraction_reference():
-    # _seeds builds each leg and its rule from U's rule and compares legs
-    # only within one source word; the reference subtracts and hashes.  The
-    # rule's row is relabelled from U's row of the leg's key, with no
-    # arithmetic, and must be the row its image gives.
+    # _seeds builds one rule per nonzero leg from U's rule and leaves
+    # repeats to normalisation; spol_seeds rebuilds the legs from those
+    # rules.  The reference subtracts and hashes.  Each rule's row is made
+    # from its image and must be the primitive row of its leg.
     for P, limits in _differential_cases():
         for step in complete(P, limits).steps:
             pres = Presentation(P.alphabet, P.order, step.operator_before)
             new = [b for b in step.branchings if b not in step.old_branchings]
-            (got, rules), expected = _seeds(pres, new), _seeds_reference(pres, new)
+            got, expected = list(step.spol_seeds), _seeds_reference(pres, new)
             assert got == expected
             assert [list(f.items()) for f in got] == [list(f.items()) for f in expected]
-            assert got == list(step.spol_seeds)
             for f in got:
                 assert all(type(c) is Fraction for _, c in f.items())
-            assert len(rules) == len(got)
-            for f, rule in zip(got, rules):
+            rules, legs = _seeds(step.operator_before, new), _legs_reference(pres, new)
+            assert len(rules) == len(legs)
+            for f, rule in zip(legs, rules):
                 assert rule == single_rule(f, P.order)
                 ((leading, image),) = rule.rules.items()
                 row = rule._row(leading)
@@ -242,9 +245,9 @@ def test_seeds_match_subtraction_reference():
 
 
 def test_complete_hashes_no_polynomial_or_operator(monkeypatch):
-    # Seeds are deduplicated by leading word, once in _seeds and once in
-    # normalisation, comparing by equality; hashing every coefficient of
-    # every leg and seed rule took about a tenth of a completion.
+    # Seed rules are deduplicated by leading word in normalisation, comparing
+    # by equality; hashing every coefficient of every leg and seed rule took
+    # about a tenth of a completion.
     cases = _differential_cases()
 
     def unhashable(self):
@@ -308,16 +311,14 @@ def test_complete_calls_no_single_rule(monkeypatch):
 
 
 def test_complement_leaves_cached_rows_unchanged():
-    # Kernel rows are cached on their operators and shared, and a family
-    # member's row is relabelled from U's: complement reduces copies only.
-    # A member's row is made on each read and cached nowhere.
+    # complement reduces the rows it reads in place: each row is made on
+    # each read, so the family and U are left as they were.
     P = parse_presentation(HEAVY_STEP_TEXT)
     step = complete(P, CompletionLimits(10, 5)).steps[-1]
     family = list(step.normalised_family)
     assert len(family) == 1359
     first, second = complement(family), complement(family)
     assert list(first.rules.items()) == list(second.rules.items())
-    assert all(T._rows == {} for T in family)
     assert first == step.complement_op
     fresh = [ReductionOperator(P.order, T.rules) for T in family]
     assert list(meet(family).rules.items()) == list(meet(fresh).rules.items())
@@ -535,6 +536,7 @@ def test_engine_built_objects_hold_nonzero_fractions():
             for field in dataclasses.fields(step):
                 if field.name != "index":
                     _assert_exact(getattr(step, field.name))
+            _assert_exact(step.spol_seeds)
         T = result.completed.operator
         _assert_exact(T)
         _assert_exact(tuple(T.kernel_basis()))

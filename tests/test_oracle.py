@@ -7,6 +7,7 @@ from ncgb.oracle import (
     ambiguities,
     ambiguity_s_polynomial,
     buchberger,
+    leading_word_witnesses,
     lm_set_up_to_degree,
     naive_reduce,
 )
@@ -157,3 +158,44 @@ def test_ambiguity_count_matches_branchings():
         P = random_presentation(rng)
         R = RuleSet.from_polynomials(groebner_rules(P), P.order)
         assert len(ambiguities(R)) == len(critical_branchings(P))
+
+
+def _random_leading_words(rng, letters, words):
+    """Up to 4 words of length <= 4, the empty word rarely, and each, with
+    some chance, a factor or a multiple of one of ``words``."""
+    out = []
+    for _ in range(rng.randint(0, 4)):
+        if words and rng.random() < 0.5:
+            u = rng.choice(words)
+            i = rng.randint(0, len(u))
+            u = u[i : rng.randint(i, len(u))] if rng.random() < 0.5 else u
+            u = tuple(rng.choices(letters, k=rng.randint(0, 1))) + u
+        else:
+            u = tuple(rng.choices(letters, k=rng.randint(0 if rng.random() < 0.05 else 1, 4)))
+        out.append(u)
+    return out
+
+
+def test_leading_word_witnesses_match_lm_sets():
+    # Both sides list nothing exactly when the enumerated reducible words
+    # agree, and each side lists the leading words among the difference.
+    rng = random.Random(17)
+    agree = 0
+    for _ in range(600):
+        alphabet = Alphabet(tuple("xyz"[: rng.randint(1, 3)]))
+        order = DegLexOrder(alphabet)
+        letters = range(len(alphabet))
+        first = _random_leading_words(rng, letters, [])
+        second = _random_leading_words(rng, letters, first)
+        R1, R2 = (
+            RuleSet(order, [Polynomial.monomial(u) for u in words])
+            for words in (first, second)
+        )
+        d = rng.randint(0, 5)
+        only1, only2 = leading_word_witnesses(R1, R2, d)
+        lm1, lm2 = lm_set_up_to_degree(R1, d), lm_set_up_to_degree(R2, d)
+        assert (not only1 and not only2) == (lm1 == lm2)
+        assert only1 == sorted((lm1 - lm2) & set(first), key=order.key)
+        assert only2 == sorted((lm2 - lm1) & set(second), key=order.key)
+        agree += lm1 == lm2
+    assert 100 < agree < 500

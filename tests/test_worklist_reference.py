@@ -1,10 +1,12 @@
-"""Differential test: the heap worklist of ``normalisation`` against the
-rescan-everything loop it replaced.
+"""Differential test: the stack closure of ``normalisation`` against the
+rescan-everything loop of its first implementation.
 
 The reference loop below recomputes the reducible words of the whole
-worklist after every expansion and picks the greatest one.  It is kept
-here, with its own copy of the leftmost-longest matcher, so the comparison
-stays against the original selection rule.
+worklist after every expansion and picks the greatest one, so it adds the
+expansions by decreasing key, the order ``normalisation`` sorts them into
+after its stack has visited every word.  It is kept here, with its own
+copy of the leftmost-longest matcher, so the comparison stays against the
+original selection rule.
 """
 
 import random
