@@ -67,6 +67,18 @@ def _write_trace(path: str, P: Presentation, result: CompletionResult) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _branching_count(result: CompletionResult) -> int:
+    """The number of critical branchings of the completed presentation,
+    without enumerating them again: a branching fixes its two keys, so they
+    are the last step's merged branchings plus those where a key that step
+    added reduces.  A run with no step met no branching."""
+    if not result.steps:
+        return 0
+    last = result.steps[-1]
+    added = last.operator_after.rules.keys() - last.operator_before.rules.keys()
+    return len(last.branchings) + len(critical_branchings(result.completed, added))
+
+
 def _cmd_complete(args) -> int:
     P = _load(args.file)
     limits = CompletionLimits(
@@ -76,7 +88,7 @@ def _cmd_complete(args) -> int:
     sys.stdout.write(serialize_presentation(result.completed))
     print(f"status: {result.status}")
     print(f"iterations: {len(result.steps)}")
-    print(f"branchings: {len(critical_branchings(result.completed))}")
+    print(f"branchings: {_branching_count(result)}")
     if args.trace:
         _write_trace(args.trace, P, result)
     return 0 if result.status == completion.CONVERGED else 1

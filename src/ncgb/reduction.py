@@ -8,16 +8,20 @@ bijection with finite-dimensional subspaces (their kernels), which is what
 realises the lattice operations: meet by kernel sum, join by kernel
 intersection, and the complement by intersection with the normal-form
 words.  Each of ``ker_inv``, ``meet``, ``join`` and ``complement`` is one
-pass of ``linalg.eliminate``; ``_kernel_rows`` is the only crossing from
-rules to rows and ``_operator`` the only one back.  The primitive integer
-row of a key is made from its image each time it is read, by clearing the
-denominators, and it is not cached: a completion step reads each of its
-family's rows once.  ``complement`` is the structured elimination of F4:
-the first kernel row of each key is a reducer whose pivot is already
-known, every other row is reduced against the reducers by substitution,
-and only the residuals, which hold no key, are eliminated.
-``single_rule`` divides its polynomial by the leading coefficient, or
-negates it when that coefficient is 1, and needs no elimination.
+pass of ``linalg.eliminate`` on rows over integer ranks: the operation's
+words are sorted once, a word's rank is its index there, and the
+eliminator's key is ``int``, so no column calls ``DegLexOrder.key``.
+``_kernel_rows`` is the only crossing from rules to rows and ``_operator``,
+which maps the ranks back to words, the only one back.  The primitive
+integer row of a key is made from its image each time it is read, by
+clearing the denominators, and it is not cached: a completion step reads
+each of its family's rows once.  ``complement`` is the structured
+elimination of F4: the first kernel row of each key is a reducer whose
+pivot is already known, every other row is reduced against the reducers
+by substitution, greatest rank first, and only the residuals, which hold
+no key, are eliminated.  ``single_rule`` divides its polynomial by the
+leading coefficient, or negates it when that coefficient is 1, and needs
+no elimination.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .linalg import Polynomial, _add_multiple, _primitive, _scale, eliminate
+from .linalg import Polynomial, _add_multiple, _primitive, eliminate
 from .words import DegLexOrder, Word
 
 
@@ -86,14 +90,18 @@ class ReductionOperator:
             _add_multiple(out, c, {w: 1} if p is None else p._terms, None)
         return Polynomial._trusted(out)
 
-    def _row(self, w: Word) -> dict:
-        """The integer row {w: m, u: -c * m, ...} on the line of the kernel
-        vector w - T(w) of the key w, pivot first, then the words of T(w) in
-        their order.  m is the lcm of the denominators of T(w), so the row is
-        primitive.  A new row is made on each read, and the caller owns it."""
-        terms = self._rules[w].items()
-        m = lcm(*(c.denominator for _, c in terms))
-        return {w: m, **{u: -c.numerator * (m // c.denominator) for u, c in terms}}
+    def _row(self, w: Word, rank: Mapping[Word, int]) -> dict:
+        """The integer row {rank[w]: m, rank[u]: -c * m, ...} on the line of
+        the kernel vector w - T(w) of the key w, pivot first, then the words
+        of T(w) in their order.  m is the lcm of the denominators of T(w), so
+        the row is primitive.  A new row is made on each read, and the caller
+        owns it."""
+        terms = self._rules[w]._terms
+        m = lcm(*(c.denominator for c in terms.values()))
+        row = {rank[w]: m}
+        for u, c in terms.items():
+            row[rank[u]] = -c.numerator * (m // c.denominator)
+        return row
 
     def kernel_basis(self) -> list[Polynomial]:
         """Reduced basis {w - T(w) : w reducible}, by decreasing leading word."""
@@ -121,25 +129,51 @@ def identity(order: DegLexOrder) -> ReductionOperator:
     return ReductionOperator(order, {})
 
 
-def _kernel_rows(family: Iterable[ReductionOperator]) -> Iterator[dict]:
-    """The row ``T._row(w)`` of each rule, by decreasing w within each
-    member; the only crossing from rules to rows.  Each row is new, so a
-    caller may change it.  A single-rule member, such as a completion
-    step's family member, needs no sort."""
+def _support(family: Iterable[ReductionOperator]) -> set[Word]:
+    """Every column of the members' kernel rows: their keys and image words."""
+    words: set[Word] = set()
     for T in family:
         rules = T.rules
-        for w in sorted(rules, key=T.order.key, reverse=True) if len(rules) > 1 else rules:
-            yield T._row(w)
+        words.update(rules)
+        for image in rules.values():
+            words.update(image._terms)
+    return words
 
 
-def _operator(pivots: Mapping[Word, Mapping], order: DegLexOrder) -> ReductionOperator:
+def _ranks(words: set[Word], order: DegLexOrder) -> tuple[list[Word], dict[Word, int]]:
+    """``words`` by increasing key, and the rank of each word: its index
+    there, so a greater word has a greater rank."""
+    ranked = sorted(words, key=order.key)
+    return ranked, {w: i for i, w in enumerate(ranked)}
+
+
+def _kernel_rows(
+    family: Iterable[ReductionOperator], rank: Mapping[Word, int]
+) -> Iterator[dict]:
+    """The row ``T._row(w, rank)`` of each rule, over the ranks of its
+    words, by decreasing w within each member; the only crossing from rules
+    to rows.  Each row is new, so a caller may change it.  A single-rule
+    member, such as a completion step's family member, needs no sort."""
+    for T in family:
+        rules = T.rules
+        for w in sorted(rules, key=rank.__getitem__, reverse=True) if len(rules) > 1 else rules:
+            yield T._row(w, rank)
+
+
+def _operator(
+    pivots: Mapping[int, Mapping], words: Sequence[Word], order: DegLexOrder
+) -> ReductionOperator:
     """The operator whose kernel has the monic, inter-reduced rows ``pivots``
-    (keyed by pivot) as basis: the rule for pivot w is w minus its row.  The
-    only crossing from rows to rules."""
-    rules = {
-        w: Polynomial._trusted({u: -c for u, c in pivots[w].items() if u != w})
-        for w in sorted(pivots, key=order.key, reverse=True)
-    }
+    (keyed by pivot, over the ranks of ``words``) as basis: the rule for
+    pivot w is w minus its row.  The rules, and the terms of each image, are
+    by decreasing word.  The only crossing from rows to rules."""
+    rules = {}
+    for i in sorted(pivots, reverse=True):
+        row = pivots[i]
+        # The pivot is the row's greatest rank, so it sorts first.
+        rules[words[i]] = Polynomial._trusted(
+            {words[j]: -row[j] for j in sorted(row, reverse=True)[1:]}
+        )
     return ReductionOperator._trusted(order, rules)
 
 
@@ -155,7 +189,10 @@ def _order(family: Sequence[ReductionOperator], operation: str) -> DegLexOrder:
 
 def ker_inv(vectors: Iterable[Polynomial], order: DegLexOrder) -> ReductionOperator:
     """The operator whose kernel is the span of ``vectors``."""
-    return _operator(eliminate((v._terms for v in vectors), order.key), order)
+    vectors = [v._terms for v in vectors]
+    words, rank = _ranks({u for v in vectors for u in v}, order)
+    rows = ({rank[u]: c for u, c in v.items()} for v in vectors)
+    return _operator(eliminate(rows, int), words, order)
 
 
 def kernel_basis(T: ReductionOperator) -> list[Polynomial]:
@@ -185,31 +222,32 @@ def leq(T1: ReductionOperator, T2: ReductionOperator) -> bool:
 def meet(family: Sequence[ReductionOperator]) -> ReductionOperator:
     """Greatest lower bound: the kernel is the sum of the kernels."""
     order = _order(family, "meet")
-    return _operator(eliminate(_kernel_rows(family), order.key), order)
+    words, rank = _ranks(_support(family), order)
+    return _operator(eliminate(_kernel_rows(family, rank), int), words, order)
 
 
 def join(T1: ReductionOperator, T2: ReductionOperator) -> ReductionOperator:
     """Least upper bound: the kernel is the intersection of the kernels.
 
-    Zassenhaus block trick: the rows (a | a) of T1 and (b | 0) of T2 are
-    eliminated with every first-block column (tag 1) above every second-block
-    one (tag 0).  The rows left with a tag-0 pivot are zero on the first
-    block and are the reduced basis of the intersection.
+    Zassenhaus block trick: over the n ranks of the two operators' words,
+    the rows (a | a) of T1 and (b | 0) of T2 are eliminated with every
+    first-block column (rank + n) above every second-block one (rank).  The
+    rows left with a second-block pivot are zero on the first block and are
+    the reduced basis of the intersection.
     """
     order = _order([T1, T2], "join")
-    rows = [{(t, w): c for w, c in a.items() for t in (1, 0)} for a in _kernel_rows([T1])]
-    rows += [{(1, w): c for w, c in b.items()} for b in _kernel_rows([T2])]
-    pivots = eliminate(rows, lambda col: (col[0], order.key(col[1])))
-    common = {
-        w: {u: c for (_, u), c in row.items()} for (t, w), row in pivots.items() if t == 0
-    }
-    return _operator(common, order)
+    words, rank = _ranks(_support([T1, T2]), order)
+    n = len(words)
+    rows = [{j + t: c for j, c in a.items() for t in (n, 0)} for a in _kernel_rows([T1], rank)]
+    rows += [{j + n: c for j, c in b.items()} for b in _kernel_rows([T2], rank)]
+    pivots = eliminate(rows, int)
+    return _operator({i: row for i, row in pivots.items() if i < n}, words, order)
 
 
 def family_ambient(family: Sequence[ReductionOperator]) -> list[Word]:
     """Sorted union of the supports of the members' kernel rows (increasing)."""
     order = _order(family, "family_ambient")
-    return sorted({u for row in _kernel_rows(family) for u in row}, key=order.key)
+    return sorted(_support(family), key=order.key)
 
 
 def normal_form_words(
@@ -239,52 +277,58 @@ def complement(family: Sequence[ReductionOperator]) -> ReductionOperator:
     normal-form words.  On the family ambient, which holds every column of
     the members' kernel rows, those are the words that are not keys.
 
-    The first kernel row of each key is a reducer: its pivot is its key, and
-    its other columns are smaller words.  Every other row is reduced against
-    the reducers by substitution on integer rows, taking its key columns
-    greatest first, so each key is cleared once.  The residuals hold no key
-    and span the intersection: the kernel sum is the span of the reducers
-    plus that of the residuals, and a nonzero combination of reducers has a
-    key as its leading word.  One elimination of the primitive residuals
-    gives the reduced basis, which is unique.
+    The ambient words are sorted once, and every row is an integer row over
+    their ranks, so a greater word is a greater int.  The first kernel row
+    of each key is a reducer: its pivot is its key, and its other columns
+    are smaller words.  Every other row is reduced against the reducers by
+    substitution, taking its key columns greatest first from a heap of
+    ranks, so each key is cleared once.  The residuals hold no key and span
+    the intersection: the kernel sum is the span of the reducers plus that
+    of the residuals, and a nonzero combination of reducers has a key as
+    its leading word.  One elimination of the primitive residuals, keyed by
+    rank, gives the reduced basis, which is unique.
     """
     order = _order(family, "complement")
-    reducers: dict = {}
+    words, rank = _ranks(_support(family), order)
+    reducers: dict[int, dict] = {}
     others = []
-    for row in _kernel_rows(family):
-        w = next(iter(row))
-        if w in reducers:
+    for row in _kernel_rows(family, rank):
+        i = next(iter(row))
+        if i in reducers:
             others.append(row)
         else:
-            reducers[w] = row
-    # Each row's queue holds the ranks of its key columns, greatest key at
-    # rank 0, and each reducer's key-column ranks are listed on first use.
-    keys = sorted(reducers, key=order.key, reverse=True)
-    rank = {k: i for i, k in enumerate(keys)}
-    key_cols: list = [None] * len(keys)
+            reducers[i] = row
     residuals = []
     for row in others:
-        heap = [rank[col] for col in row if col in rank]
+        # ``queued`` holds the ranks of the row's key columns met so far, and
+        # the heap those still to clear, negated so that the greatest pops first.
+        queued = {j for j in row if j in reducers}
+        heap = [-j for j in queued]
         heapify(heap)
-        queued = set(heap)
         while heap:
-            i = heappop(heap)
-            k = keys[i]
-            a = row.pop(k, 0)
-            if a:
-                reducer = reducers[k]
-                b = reducer[k]
-                g = gcd(a, b)
-                _scale(row, b // g)
-                _add_multiple(row, -(a // g), reducer, k)
-                cols = key_cols[i]
-                if cols is None:
-                    cols = key_cols[i] = [rank[col] for col in reducer if col in rank and col != k]
-                for j in cols:
-                    if j not in queued:
+            i = -heappop(heap)
+            a = row.pop(i, 0)
+            if not a:
+                continue
+            reducer = reducers[i]
+            b = reducer[i]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            # row = b * row - a * reducer, on every column but i.
+            if b != 1:
+                for j in row:
+                    row[j] *= b
+            for j, d in reducer.items():
+                if j != i:
+                    x = row.get(j, 0) - a * d
+                    if x:
+                        row[j] = x
+                    else:
+                        del row[j]
+                    if j in reducers and j not in queued:
                         queued.add(j)
-                        heappush(heap, j)
+                        heappush(heap, -j)
         if row:
             _primitive(row)
             residuals.append(row)
-    return _operator(eliminate(residuals, order.key), order)
+    return _operator(eliminate(residuals, int), words, order)

@@ -106,6 +106,7 @@ def test_complete_braided(braided_file, capsys):
     assert "y.x.x.x -> x.x.x.y" in out
     assert "status: converged" in out
     assert "iterations: 3" in out
+    assert "branchings: 6" in out
 
 
 def test_complete_output_is_reparsable(braided_file, tmp_path, capsys):

@@ -8,6 +8,7 @@ from math import lcm
 import pytest
 
 from ncgb import completion, linalg, reduction
+from ncgb.cli import _branching_count
 from ncgb.completion import (
     CONVERGED,
     DEGREE_CAP,
@@ -32,6 +33,7 @@ from ncgb.reduction import (
     ReductionOperator,
     _kernel_rows,
     complement,
+    family_ambient,
     identity,
     ker_inv,
     leq,
@@ -185,6 +187,43 @@ def _differential_cases():
     return cases
 
 
+def test_complement_does_not_depend_on_the_reducer_choice():
+    # complement takes the first row of each key as its reducer.  Reversed
+    # or shuffled, the family gives each key another reducer, but the
+    # reduced basis is unique: the same rules, in the same order, with the
+    # same terms in the same order and Fraction coefficients.
+    rng = random.Random(18)
+    for P, limits in _differential_cases():
+        for step in complete(P, limits).steps:
+            family = list(step.normalised_family)
+            expected = step.complement_op.rules
+            for variant in (family[::-1], rng.sample(family, len(family))):
+                got = complement(variant).rules
+                assert list(got) == list(expected)
+                for w, image in got.items():
+                    assert list(image.items()) == list(expected[w].items())
+                    assert all(type(c) is Fraction for _, c in image.items())
+
+
+def test_branching_count_matches_full_enumeration():
+    # ncgb complete prints the last step's merged branchings plus those of
+    # the keys it added, instead of enumerating every key's branchings again.
+    # The braided example capped at one step ends at the iteration cap, and
+    # the quantum plane has no branching and so no step.
+    quantum_plane = "alphabet: x y\norder: deglex\nrules:\ny.x -> 2*x.y\n"
+    cases = _differential_cases() + [
+        (parse_presentation(BRAIDED_TEXT), CompletionLimits(max_iterations=1)),
+        (parse_presentation(quantum_plane), CompletionLimits()),
+    ]
+    statuses = set()
+    for P, limits in cases:
+        result = complete(P, limits)
+        statuses.add(result.status)
+        assert _branching_count(result) == len(critical_branchings(result.completed))
+    assert statuses == {CONVERGED, DEGREE_CAP, ITERATION_CAP}
+    assert complete(parse_presentation(quantum_plane)).steps == ()
+
+
 def test_operator_after_matches_meet():
     # complete() forms each step's operator by substitution instead of by
     # meet([operator_before, complement_op]); the reference is that meet.
@@ -239,8 +278,10 @@ def test_seeds_match_subtraction_reference():
             for f, rule in zip(legs, rules):
                 assert rule == single_rule(f, P.order)
                 ((leading, image),) = rule.rules.items()
-                row = rule._row(leading)
-                assert list(row.items()) == _row_reference(leading, image)
+                words = family_ambient([rule])
+                row = rule._row(leading, {u: i for i, u in enumerate(words)})
+                got_row = [(words[j], c) for j, c in row.items()]
+                assert got_row == _row_reference(leading, image)
                 assert all(type(c) is int for c in row.values())
 
 
@@ -328,7 +369,9 @@ def test_complement_leaves_cached_rows_unchanged():
             for T in ops
             for w in sorted(T.rules, key=P.order.key, reverse=True)
         ]
-        assert [list(row.items()) for row in _kernel_rows(ops)] == expected
+        words = family_ambient(ops)
+        rows = _kernel_rows(ops, {u: i for i, u in enumerate(words)})
+        assert [[(words[j], c) for j, c in row.items()] for row in rows] == expected
 
 
 def test_complete_enumerates_only_new_keys(monkeypatch):

@@ -401,14 +401,16 @@ def test_complement_reducer_block_edge_cases(ab, order, monkeypatch):
 def test_complement_clears_a_key_reached_twice_once(ab, order, monkeypatch):
     # The row z.z - z.y is reduced by the reducers of z.z and z.y, whose rows
     # both hold the key y.y; y.y is queued once and cleared once, after both.
-    cleared = []
+    # The row's key columns are popped from a heap of negated ranks into the
+    # family's words by increasing key.
+    popped = []
 
-    def recording(row, c, other, skip):
-        cleared.append(skip)
-        add_multiple(row, c, other, skip)
+    def recording(heap):
+        popped.append(heappop(heap))
+        return popped[-1]
 
-    add_multiple = reduction._add_multiple
-    monkeypatch.setattr(reduction, "_add_multiple", recording)
+    heappop = reduction.heappop
+    monkeypatch.setattr(reduction, "heappop", recording)
     family = [
         single_rule(p(ab, "z.z - y.y - x"), order),
         single_rule(p(ab, "z.y - 2*y.y"), order),
@@ -416,9 +418,10 @@ def test_complement_clears_a_key_reached_twice_once(ab, order, monkeypatch):
         single_rule(p(ab, "z.z - z.y"), order),
     ]
     got = complement(family)
-    assert cleared == [w(ab, "zz"), w(ab, "zy"), w(ab, "yy")]
+    words = family_ambient(family)
+    assert [words[-i] for i in popped] == [w(ab, "zz"), w(ab, "zy"), w(ab, "yy")]
     assert got.rules == {w(ab, "xx"): p(ab, "x")}
-    monkeypatch.setattr(reduction, "_add_multiple", add_multiple)
+    monkeypatch.setattr(reduction, "heappop", heappop)
     allowed = normal_form_words(family, family_ambient(family))
     words = ker_inv([Polynomial.monomial(u) for u in allowed], order)
     expected = join(meet(family), words)
