@@ -7,7 +7,7 @@ into a family of single-rule operators, and meets the current operator
 with the complement of that family.  The complement absorbs all the seeds
 in one batch rather than one at a time, and it is the step's only
 elimination: the family's rows are reduced against one reducer row per
-key by substitution, and only the residuals are eliminated, as in F4.
+key by ``linalg._reduce``, and only the residuals are eliminated, as in F4.
 Building the family and meeting the complement into the operator are
 substitutions too.  The seeds are the rules w -> l.U(k).r of the legs
 w - S_{n,m}(w) = l.(k - U(k)).r, built from U's rule for k, and
@@ -17,11 +17,11 @@ F4's symbolic preprocessing, a closure that does not depend on the order in
 which words are visited: a stack visits them, and the expansions are
 sorted once, by decreasing key.  Every family member is a plain single-rule
 operator, and ``complement`` clears the denominators of its image to make
-its kernel row.  A step calls no ``single_rule`` and builds no leg: the
-legs are rebuilt from the rules only when ``CompletionStep.spol_seeds`` is
-read.  The loop stops when no new branchings appear, and at
-once when no new key does; caps convert potential non-termination into a
-status flag.
+its kernel row.  A step calls no ``single_rule`` and builds no leg, and
+its record keeps no seed and no family: ``CompletionStep.spol_seeds`` and
+``normalised_family`` rebuild them when read.  The loop stops when no new
+branchings appear, and at once when no new key does; caps convert
+potential non-termination into a status flag.
 """
 
 from __future__ import annotations
@@ -61,24 +61,31 @@ class CompletionLimits:
 
 @dataclass(frozen=True)
 class CompletionStep:
-    """Full record of one loop iteration, kept for trace-level verification."""
+    """Record of one loop iteration, kept for trace-level verification; its
+    seeds and family are rebuilt from ``operator_before`` on each read."""
 
     index: int
     operator_before: ReductionOperator
     branchings: tuple[CriticalBranching, ...]
     old_branchings: tuple[CriticalBranching, ...]
-    normalised_family: tuple[ReductionOperator, ...]
     complement_op: ReductionOperator
     operator_after: ReductionOperator
+
+    def _seed_rules(self) -> list[ReductionOperator]:
+        old = set(self.old_branchings)
+        return _seeds(self.operator_before, [b for b in self.branchings if b not in old])
 
     @property
     def spol_seeds(self) -> tuple[Polynomial, ...]:
         """Both one-step legs w - S_{n,m}(w) of every new branching,
-        deduplicated, in order of first appearance; rebuilt on each read."""
-        old = set(self.old_branchings)
-        new = [b for b in self.branchings if b not in old]
-        rules = _seeds(self.operator_before, new)
-        return tuple(dict.fromkeys(T.kernel_basis()[0] for T in rules))
+        deduplicated, in order of first appearance."""
+        return tuple(dict.fromkeys(T.kernel_basis()[0] for T in self._seed_rules()))
+
+    @property
+    def normalised_family(self) -> tuple[ReductionOperator, ...]:
+        """The family whose complement is ``complement_op``: the seed rules
+        normalised against ``operator_before``."""
+        return tuple(normalisation(self._seed_rules(), self.operator_before))
 
 
 @dataclass(frozen=True)
@@ -207,7 +214,7 @@ def complete(P: Presentation, limits: CompletionLimits | None = None) -> Complet
     order = P.order
     pres = P
     seen: set[Word] = set()
-    previous: list[CriticalBranching] = []
+    previous: tuple[CriticalBranching, ...] = ()
     steps: list[CompletionStep] = []
     while True:
         fresh = pres.operator.rules.keys() - seen
@@ -217,17 +224,15 @@ def complete(P: Presentation, limits: CompletionLimits | None = None) -> Complet
         if len(steps) >= limits.max_iterations:
             return CompletionResult(pres, tuple(steps), ITERATION_CAP)
         seen |= fresh
-        current = list(merge(previous, new, key=lambda b: _branching_key(order, b)))
-        family = normalisation(_seeds(pres.operator, new), pres.operator)
-        comp = complement(family)
+        current = tuple(merge(previous, new, key=lambda b: _branching_key(order, b)))
+        comp = complement(normalisation(_seeds(pres.operator, new), pres.operator))
         op_next = _meet_complement(pres.operator, comp)
         steps.append(
             CompletionStep(
                 index=len(steps),
                 operator_before=pres.operator,
-                branchings=tuple(current),
-                old_branchings=tuple(previous),
-                normalised_family=tuple(family),
+                branchings=current,
+                old_branchings=previous,
                 complement_op=comp,
                 operator_after=op_next,
             )

@@ -2,19 +2,21 @@
 
 Subspaces of the span of a finite word set are represented by reduced
 bases: monic vectors with pairwise distinct leading words, fully
-auto-reduced, sorted by decreasing leading word.  One sparse eliminator,
-``eliminate``, computes every basis in the package; its column order is
-its only parameter.  It takes its rows by increasing pivot, and the rows
-it returns do not depend on the order they are given in.  Every lattice
-operation in ``reduction`` is one call of it on rows.  Arithmetic is
-exact: polynomials hold ``Fraction`` coefficients, and ``eliminate``
-clears each row's denominators, eliminates primitive integer rows on
-Python ints, and makes ``Fraction``s only for the monic rows it returns.
+auto-reduced, sorted by decreasing leading word.  Elimination runs on
+integer rows over int columns: the words are sorted once and a word's
+column is its rank there.  One fraction-free kernel, ``_reduce``, clears
+the pivot columns of a row; the one eliminator, ``eliminate``, is its
+forward pass and back-substitution, and ``reduction.complement``
+substitutes with it too.  Every basis in the package is one call of
+``eliminate``.  Polynomials hold ``Fraction`` coefficients:
+``_integer_rows`` ranks their words and clears their denominators once,
+and ``eliminate`` makes ``Fraction``s only for the monic rows it returns.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -128,66 +130,69 @@ def _add_multiple(row: dict, c: Fraction | int, other: Mapping, skip) -> None:
                 del row[col]
 
 
-def _integer_row(row: Mapping) -> dict:
-    """``row`` times the lcm of its denominators: an integer row on its line."""
-    m = lcm(*(c.denominator for c in row.values()))
-    return {col: c.numerator * (m // c.denominator) for col, c in row.items()}
+def _reduce(row: dict, pivots: Mapping[int, Mapping[int, int]]) -> None:
+    """Clear every pivot column of the integer ``row`` in place, greatest
+    first, scaling by integers only, and leave it primitive: on the line of
+    c * row + a combination of the pivot rows, for an integer c != 0.
+    ``pivots`` maps each pivot column to an integer row whose greatest
+    column it is.  The pivot rows need not be inter-reduced: a pivot column
+    that a subtraction brings in is queued once."""
+    # ``queued`` holds the pivot columns met so far, and the heap those still
+    # to clear, negated so that the greatest pops first.
+    queued = {j for j in row if j in pivots}
+    heap = [-j for j in queued]
+    heapify(heap)
+    while heap:
+        i = -heappop(heap)
+        a = row.pop(i, 0)
+        if not a:
+            continue
+        pivot = pivots[i]
+        b = pivot[i]
+        g = gcd(a, b)
+        a, b = a // g, b // g
+        # row = b * row - a * pivot, on every column but i.
+        if b != 1:
+            for j in row:
+                row[j] *= b
+        for j, d in pivot.items():
+            if j != i:
+                x = row.get(j, 0) - a * d
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
+                if j in pivots and j not in queued:
+                    queued.add(j)
+                    heappush(heap, -j)
+    g = gcd(*row.values())  # 0 for an empty row
+    if g > 1:
+        for j in row:
+            row[j] //= g
 
 
-def _scale(row: dict, a: int) -> None:
-    """row *= a, in place."""
-    if a != 1:
-        for col in row:
-            row[col] *= a
+def eliminate(rows: Iterable[dict]) -> dict:
+    """Sparse exact reduced row echelon form of ``rows``: nonzero integer
+    rows over int columns, which it changes in place.
 
-
-def _primitive(row: dict) -> None:
-    """Divide the integer ``row`` by the gcd of its entries, in place."""
-    g = gcd(*row.values())
-    if g != 1:
-        for col in row:
-            row[col] //= g
-
-
-def eliminate(rows: Iterable[Mapping], key: Callable) -> dict:
-    """Sparse exact reduced row echelon form of ``rows``.
-
-    The pivot of a row is its greatest column under ``key``.  Returns the
-    monic, fully inter-reduced ``Fraction`` rows keyed by pivot: no row
-    holds another row's pivot.  The rows are taken by increasing pivot, so
-    a new pivot seldom occurs in the rows before it.  The reduced echelon
-    form is unique, so the rows returned, as maps from column to
-    coefficient, do not depend on the order ``rows`` come in.
-
-    Inside, the rows are integer rows on the same lines, eliminated
-    fraction-free on Python ints: a row is scaled by the least integer that
-    makes its subtractions of pivot rows integral, and is then divided by
-    the gcd of its entries.  Only the rows returned are divided by their
-    pivot entries into ``Fraction``s.
+    The pivot of a row is its greatest column.  Returns the monic, fully
+    inter-reduced ``Fraction`` rows keyed by pivot.  The rows are taken by
+    increasing pivot, so a new pivot seldom occurs in the rows before it.
+    Each is reduced against the pivot rows so far by ``_reduce``, and its
+    pivot is then cleared from them by ``_reduce``.  The reduced echelon
+    form is unique, so the rows returned do not depend on the order
+    ``rows`` come in.
     """
-    pivots: dict = {}
-    for row in sorted((_integer_row(r) for r in rows if r), key=lambda r: key(max(r, key=key))):
-        cols = [col for col in row if col in pivots]
-        if cols:
-            # Pivot rows hold no other pivot, so subtracting one leaves the
-            # row's entries at the other pivots as they are: one scaling by m
-            # makes every subtraction integral.
-            m = lcm(*(pivots[col][col] // gcd(row[col], pivots[col][col]) for col in cols))
-            _scale(row, m)
-            for col in cols:
-                _add_multiple(row, -(row.pop(col) // pivots[col][col]), pivots[col], col)
-            if not row:
-                continue
-        pivot = max(row, key=key)
-        _primitive(row)
-        v = row[pivot]
+    pivots: dict[int, dict] = {}
+    for row in sorted(rows, key=max):
+        _reduce(row, pivots)
+        if not row:
+            continue
+        pivot = max(row)
+        single = {pivot: row}
         for other in pivots.values():
-            c = other.pop(pivot, 0)
-            if c:
-                g = gcd(c, v)
-                _scale(other, v // g)
-                _add_multiple(other, -(c // g), row, pivot)
-                _primitive(other)
+            if pivot in other:
+                _reduce(other, single)
         pivots[pivot] = row
     return {
         pivot: {col: Fraction(c, row[pivot]) for col, c in row.items()}
@@ -195,10 +200,39 @@ def eliminate(rows: Iterable[Mapping], key: Callable) -> dict:
     }
 
 
+def _ranks(words: Iterable[Word], key: Callable) -> tuple[list[Word], dict[Word, int]]:
+    """``words`` by increasing ``key``, and the rank of each word: its index
+    there, so a greater word has a greater rank."""
+    ranked = sorted(words, key=key)
+    return ranked, {w: i for i, w in enumerate(ranked)}
+
+
+def _integer_rows(vectors: Iterable[Mapping], key: Callable) -> tuple[list[Word], list[dict]]:
+    """The words of the ``Fraction`` vectors ranked by ``key`` (``_ranks``),
+    and each nonzero vector, times the lcm of its denominators, as an
+    integer row over their ranks."""
+    vectors = [v for v in vectors if v]
+    words, rank = _ranks({u for v in vectors for u in v}, key)
+    rows = []
+    for v in vectors:
+        m = lcm(*(c.denominator for c in v.values()))
+        rows.append({rank[u]: c.numerator * (m // c.denominator) for u, c in v.items()})
+    return words, rows
+
+
+def _polynomials(pivots: Mapping[int, Mapping], words: Sequence[Word]) -> list[Polynomial]:
+    """The rows ``pivots`` of ``eliminate``, over the ranks of ``words``, as
+    polynomials by decreasing leading word."""
+    return [
+        Polynomial._trusted({words[j]: c for j, c in pivots[i].items()})
+        for i in sorted(pivots, reverse=True)
+    ]
+
+
 def reduced_basis(vectors: Iterable[Polynomial], order: DegLexOrder) -> list[Polynomial]:
     """Unique monic auto-reduced basis of the span, by decreasing leading word."""
-    pivots = eliminate((v._terms for v in vectors), order.key)
-    return [Polynomial._trusted(pivots[w]) for w in sorted(pivots, key=order.key, reverse=True)]
+    words, rows = _integer_rows((v._terms for v in vectors), order.key)
+    return _polynomials(eliminate(rows), words)
 
 
 def coordinate_subspace_intersection(
@@ -213,8 +247,8 @@ def coordinate_subspace_intersection(
     reference ``complement`` is tested against, and the benchmark names it.
     """
     allowed = set(allowed)
-    pivots = eliminate(
+    words, rows = _integer_rows(
         (a._terms for a in A), lambda w: (w not in allowed, order.key(w))
     )
-    kept = sorted((w for w in pivots if w in allowed), key=order.key, reverse=True)
-    return [Polynomial._trusted(pivots[w]) for w in kept]
+    pivots = eliminate(rows)
+    return _polynomials({i: row for i, row in pivots.items() if words[i] in allowed}, words)

@@ -8,29 +8,26 @@ bijection with finite-dimensional subspaces (their kernels), which is what
 realises the lattice operations: meet by kernel sum, join by kernel
 intersection, and the complement by intersection with the normal-form
 words.  Each of ``ker_inv``, ``meet``, ``join`` and ``complement`` is one
-pass of ``linalg.eliminate`` on rows over integer ranks: the operation's
-words are sorted once, a word's rank is its index there, and the
-eliminator's key is ``int``, so no column calls ``DegLexOrder.key``.
-``_kernel_rows`` is the only crossing from rules to rows and ``_operator``,
-which maps the ranks back to words, the only one back.  The primitive
-integer row of a key is made from its image each time it is read, by
-clearing the denominators, and it is not cached: a completion step reads
-each of its family's rows once.  ``complement`` is the structured
-elimination of F4: the first kernel row of each key is a reducer whose
-pivot is already known, every other row is reduced against the reducers
-by substitution, greatest rank first, and only the residuals, which hold
-no key, are eliminated.  ``single_rule`` divides its polynomial by the
-leading coefficient, or negates it when that coefficient is 1, and needs
-no elimination.
+pass of ``linalg.eliminate`` on integer rows over ranks: the operation's
+words are sorted once (``linalg._ranks``), and a word's rank is its index
+there.  ``_kernel_rows`` is the only crossing from rules to rows, and
+``_operator``, which maps the ranks back to words, the only one back.  A
+key's primitive integer row is made from its image on each read, by
+clearing the denominators, and is not cached.  ``complement`` is the
+structured elimination of F4: the first kernel row of each key is a
+reducer whose pivot is already known, every other row is reduced against
+the reducers by ``linalg._reduce``, the kernel ``eliminate`` runs on too,
+and only the residuals, which hold no key, are eliminated.
+``single_rule`` divides its polynomial by the leading coefficient, or
+negates it when that coefficient is 1, and needs no elimination.
 """
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
-from math import gcd, lcm
+from math import lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .linalg import Polynomial, _add_multiple, _primitive, eliminate
+from .linalg import Polynomial, _add_multiple, _integer_rows, _ranks, _reduce, eliminate
 from .words import DegLexOrder, Word
 
 
@@ -140,13 +137,6 @@ def _support(family: Iterable[ReductionOperator]) -> set[Word]:
     return words
 
 
-def _ranks(words: set[Word], order: DegLexOrder) -> tuple[list[Word], dict[Word, int]]:
-    """``words`` by increasing key, and the rank of each word: its index
-    there, so a greater word has a greater rank."""
-    ranked = sorted(words, key=order.key)
-    return ranked, {w: i for i, w in enumerate(ranked)}
-
-
 def _kernel_rows(
     family: Iterable[ReductionOperator], rank: Mapping[Word, int]
 ) -> Iterator[dict]:
@@ -189,10 +179,8 @@ def _order(family: Sequence[ReductionOperator], operation: str) -> DegLexOrder:
 
 def ker_inv(vectors: Iterable[Polynomial], order: DegLexOrder) -> ReductionOperator:
     """The operator whose kernel is the span of ``vectors``."""
-    vectors = [v._terms for v in vectors]
-    words, rank = _ranks({u for v in vectors for u in v}, order)
-    rows = ({rank[u]: c for u, c in v.items()} for v in vectors)
-    return _operator(eliminate(rows, int), words, order)
+    words, rows = _integer_rows((v._terms for v in vectors), order.key)
+    return _operator(eliminate(rows), words, order)
 
 
 def kernel_basis(T: ReductionOperator) -> list[Polynomial]:
@@ -222,8 +210,8 @@ def leq(T1: ReductionOperator, T2: ReductionOperator) -> bool:
 def meet(family: Sequence[ReductionOperator]) -> ReductionOperator:
     """Greatest lower bound: the kernel is the sum of the kernels."""
     order = _order(family, "meet")
-    words, rank = _ranks(_support(family), order)
-    return _operator(eliminate(_kernel_rows(family, rank), int), words, order)
+    words, rank = _ranks(_support(family), order.key)
+    return _operator(eliminate(_kernel_rows(family, rank)), words, order)
 
 
 def join(T1: ReductionOperator, T2: ReductionOperator) -> ReductionOperator:
@@ -236,11 +224,11 @@ def join(T1: ReductionOperator, T2: ReductionOperator) -> ReductionOperator:
     the reduced basis of the intersection.
     """
     order = _order([T1, T2], "join")
-    words, rank = _ranks(_support([T1, T2]), order)
+    words, rank = _ranks(_support([T1, T2]), order.key)
     n = len(words)
     rows = [{j + t: c for j, c in a.items() for t in (n, 0)} for a in _kernel_rows([T1], rank)]
     rows += [{j + n: c for j, c in b.items()} for b in _kernel_rows([T2], rank)]
-    pivots = eliminate(rows, int)
+    pivots = eliminate(rows)
     return _operator({i: row for i, row in pivots.items() if i < n}, words, order)
 
 
@@ -281,15 +269,15 @@ def complement(family: Sequence[ReductionOperator]) -> ReductionOperator:
     their ranks, so a greater word is a greater int.  The first kernel row
     of each key is a reducer: its pivot is its key, and its other columns
     are smaller words.  Every other row is reduced against the reducers by
-    substitution, taking its key columns greatest first from a heap of
-    ranks, so each key is cleared once.  The residuals hold no key and span
-    the intersection: the kernel sum is the span of the reducers plus that
-    of the residuals, and a nonzero combination of reducers has a key as
-    its leading word.  One elimination of the primitive residuals, keyed by
-    rank, gives the reduced basis, which is unique.
+    ``linalg._reduce``, which takes its key columns greatest first, so each
+    key is cleared once.  The residuals hold no key and span the
+    intersection: the kernel sum is the span of the reducers plus that of
+    the residuals, and a nonzero combination of reducers has a key as its
+    leading word.  One elimination of the primitive residuals gives the
+    reduced basis, which is unique.
     """
     order = _order(family, "complement")
-    words, rank = _ranks(_support(family), order)
+    words, rank = _ranks(_support(family), order.key)
     reducers: dict[int, dict] = {}
     others = []
     for row in _kernel_rows(family, rank):
@@ -298,37 +286,6 @@ def complement(family: Sequence[ReductionOperator]) -> ReductionOperator:
             others.append(row)
         else:
             reducers[i] = row
-    residuals = []
     for row in others:
-        # ``queued`` holds the ranks of the row's key columns met so far, and
-        # the heap those still to clear, negated so that the greatest pops first.
-        queued = {j for j in row if j in reducers}
-        heap = [-j for j in queued]
-        heapify(heap)
-        while heap:
-            i = -heappop(heap)
-            a = row.pop(i, 0)
-            if not a:
-                continue
-            reducer = reducers[i]
-            b = reducer[i]
-            g = gcd(a, b)
-            a, b = a // g, b // g
-            # row = b * row - a * reducer, on every column but i.
-            if b != 1:
-                for j in row:
-                    row[j] *= b
-            for j, d in reducer.items():
-                if j != i:
-                    x = row.get(j, 0) - a * d
-                    if x:
-                        row[j] = x
-                    else:
-                        del row[j]
-                    if j in reducers and j not in queued:
-                        queued.add(j)
-                        heappush(heap, -j)
-        if row:
-            _primitive(row)
-            residuals.append(row)
-    return _operator(eliminate(residuals, int), words, order)
+        _reduce(row, reducers)
+    return _operator(eliminate([row for row in others if row]), words, order)

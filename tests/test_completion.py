@@ -187,6 +187,32 @@ def _differential_cases():
     return cases
 
 
+def test_step_records_store_no_family():
+    # A step keeps its operators and branchings only: its family is rebuilt
+    # from operator_before on each read, and it must be the family whose
+    # complement the step stored.  The old branchings are the step before's
+    # tuple itself, not a copy.
+    for P, limits in _differential_cases():
+        steps = complete(P, limits).steps
+        for i, step in enumerate(steps):
+            assert [f.name for f in dataclasses.fields(step)] == [
+                "index",
+                "operator_before",
+                "branchings",
+                "old_branchings",
+                "complement_op",
+                "operator_after",
+            ]
+            assert "normalised_family" not in vars(step)
+            if i:
+                assert step.old_branchings is steps[i - 1].branchings
+            else:
+                assert step.old_branchings == ()
+            family = step.normalised_family
+            assert type(family) is tuple and family
+            assert complement(family) == step.complement_op
+
+
 def test_complement_does_not_depend_on_the_reducer_choice():
     # complement takes the first row of each key as its reducer.  Reversed
     # or shuffled, the family gives each key another reducer, but the
@@ -305,9 +331,9 @@ def test_complete_eliminates_once_per_step(monkeypatch):
     # by the leading coefficient and the final meet is a substitution.
     calls = []
 
-    def counting(rows, key):
-        calls.append(key)
-        return eliminate(rows, key)
+    def counting(rows):
+        calls.append(rows)
+        return eliminate(rows)
 
     eliminate = linalg.eliminate
     monkeypatch.setattr(linalg, "eliminate", counting)
@@ -580,6 +606,7 @@ def test_engine_built_objects_hold_nonzero_fractions():
                 if field.name != "index":
                     _assert_exact(getattr(step, field.name))
             _assert_exact(step.spol_seeds)
+            _assert_exact(step.normalised_family)
         T = result.completed.operator
         _assert_exact(T)
         _assert_exact(tuple(T.kernel_basis()))

@@ -1,12 +1,14 @@
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
 from ncgb.linalg import (
     Polynomial,
     _add_multiple,
+    _integer_rows,
+    _reduce,
     coordinate_subspace_intersection,
     eliminate,
     reduced_basis,
@@ -116,7 +118,7 @@ def _random_rows(rng, columns):
 
 
 def _rescaled(rng, rows, key):
-    """The same lines, three ways the integer rows inside ``eliminate`` must
+    """The same lines, three ways ``_integer_rows`` and ``eliminate`` must
     undo: each row times a rational whose numerator and denominator exceed
     2**64, times an integer that leaves its cleared row a content above 1,
     and negated where that makes its pivot entry negative."""
@@ -141,6 +143,11 @@ def _rescaled(rng, rows, key):
 
 
 def test_eliminate_is_independent_of_row_order(ab, order):
+    # Each column order is expressed as the ranks of its sorted columns by
+    # ``_integer_rows``, which also clears the denominators of the rescaled
+    # rows; the ranks are mapped back to columns to compare with the Fraction
+    # reference.  The reference runs on copies, because ``eliminate`` changes
+    # the rows it is given.
     rng = random.Random(808)
     scaler = random.Random(809)
     words = all_words(ab, 3)
@@ -150,15 +157,85 @@ def test_eliminate_is_independent_of_row_order(ab, order):
         (words, lambda u: (u not in allowed, order.key(u))),
         ([(t, u) for t in (0, 1) for u in words], lambda col: (col[0], order.key(col[1]))),
     ]
-    assert eliminate([], order.key) == {}
+    assert eliminate([]) == {}
     for columns, key in orders:
+        assert _integer_rows([{}, {}], key) == ([], [])
         for _ in range(150):
             rows = _random_rows(rng, columns)
-            expected = _eliminate_in_given_order(rows, key)
+            expected = _eliminate_in_given_order([dict(r) for r in rows], key)
             for given in (rows, *_rescaled(scaler, rows, key)):
-                got = eliminate(given, key)
-                assert got == _eliminate_in_given_order(given, key) == expected
+                ranked, integer_rows = _integer_rows(given, key)
+                assert [list(map(ranked.__getitem__, r)) for r in integer_rows] == [
+                    list(r) for r in given if r
+                ]
+                assert all(type(c) is int for r in integer_rows for c in r.values())
+                got = eliminate(integer_rows)
+                assert {
+                    ranked[i]: {ranked[j]: c for j, c in row.items()} for i, row in got.items()
+                } == _eliminate_in_given_order([dict(r) for r in given], key) == expected
                 assert all(type(c) is Fraction for row in got.values() for c in row.values())
+
+
+def _reduce_reference(row, pivots):
+    """The one row with no pivot column in row + span(pivots), over Fraction:
+    row minus its pivot entries times the reduced basis of the pivot rows,
+    which holds one pivot column per row."""
+    basis = _eliminate_in_given_order(
+        ({col: Fraction(c) for col, c in p.items()} for p in pivots.values()), int
+    )
+    assert basis.keys() == pivots.keys()
+    out = {col: Fraction(c) for col, c in row.items()}
+    for col in list(out):
+        if col in basis:
+            _add_multiple(out, -out.pop(col), basis[col], col)
+    return out
+
+
+def test_reduce_clears_pivot_rows_that_are_not_inter_reduced():
+    # As in ``complement``: the pivot rows hold other pivot columns below
+    # their own.  The row z.z - z.y of the y.y case reaches y.y through the
+    # pivot rows of z.z and of z.y (columns 5, 4, 3; x.x and x are 2 and 1).
+    cases = [
+        (
+            {5: 1, 4: -1},
+            {5: {5: 1, 3: -1, 1: -1}, 4: {4: 1, 3: -2}, 3: {3: 1, 2: -1}},
+        )
+    ]
+    rng = random.Random(1918)
+    for _ in range(400):
+        pivots = {}
+        for s in rng.sample(range(1, 12), rng.randint(0, 6)):
+            below = rng.sample(range(s), rng.randint(0, min(4, s)))
+            pivots[s] = {s: rng.choice([-6, -3, -2, -1, 1, 2, 4, 9])}
+            pivots[s].update({j: rng.randint(-9, 9) or 1 for j in below})
+        if len(pivots) > 1 and rng.random() < 0.5:
+            # Two pivot rows reach one column below both.
+            low = min(pivots)
+            for s in rng.sample(sorted(pivots), 2):
+                if s != low:
+                    pivots[s][low] = rng.randint(1, 5)
+        cols = rng.sample(range(12), rng.randint(1, 6))
+        row = {j: rng.randint(-12, 12) or 1 for j in cols}
+        if rng.random() < 0.3:
+            row = {j: 6 * c for j, c in row.items()}
+        cases.append((row, pivots))
+    for row, pivots in cases:
+        before = dict(row)
+        frozen = {s: dict(p) for s, p in pivots.items()}
+        _reduce(row, pivots)
+        assert pivots == frozen
+        assert not row.keys() & pivots.keys()
+        assert all(type(c) is int for c in row.values())
+        assert not row or gcd(*row.values()) == 1
+        # A nonzero multiple of the row is c * before plus a combination of
+        # the pivot rows, for an integer c != 0: the row is a nonzero
+        # multiple of the reference, or zero when the reference is.
+        expected = _reduce_reference(before, pivots)
+        assert row.keys() == expected.keys()
+        if row:
+            top = max(row)
+            q = Fraction(row[top]) / expected[top]
+            assert q and row == {j: q * c for j, c in expected.items()}
 
 
 def test_coordinate_subspace_intersection_examples(ab, order):

@@ -292,9 +292,9 @@ def test_lattice_results_are_exact(ab, order):
 def test_lattice_operations_eliminate_once(ab, order, braid_op, family_f0, monkeypatch):
     calls = []
 
-    def counting(rows, key):
-        calls.append(key)
-        return eliminate(rows, key)
+    def counting(rows):
+        calls.append(rows)
+        return eliminate(rows)
 
     eliminate = linalg.eliminate
     monkeypatch.setattr(linalg, "eliminate", counting)
@@ -354,10 +354,10 @@ def test_complement_braided_steps(ab, order, family_f0):
 def test_complement_reducer_block_edge_cases(ab, order, monkeypatch):
     calls = []
 
-    def counting(rows, key):
+    def counting(rows):
         rows = list(rows)
         calls.append(rows)
-        return eliminate(rows, key)
+        return eliminate(rows)
 
     eliminate = linalg.eliminate
     monkeypatch.setattr(reduction, "eliminate", counting)
@@ -401,16 +401,17 @@ def test_complement_reducer_block_edge_cases(ab, order, monkeypatch):
 def test_complement_clears_a_key_reached_twice_once(ab, order, monkeypatch):
     # The row z.z - z.y is reduced by the reducers of z.z and z.y, whose rows
     # both hold the key y.y; y.y is queued once and cleared once, after both.
-    # The row's key columns are popped from a heap of negated ranks into the
-    # family's words by increasing key.
+    # linalg._reduce pops the row's key columns from a heap of negated ranks
+    # into the family's words by increasing key; eliminating the one residual
+    # pops nothing.
     popped = []
 
     def recording(heap):
         popped.append(heappop(heap))
         return popped[-1]
 
-    heappop = reduction.heappop
-    monkeypatch.setattr(reduction, "heappop", recording)
+    heappop = linalg.heappop
+    monkeypatch.setattr(linalg, "heappop", recording)
     family = [
         single_rule(p(ab, "z.z - y.y - x"), order),
         single_rule(p(ab, "z.y - 2*y.y"), order),
@@ -421,7 +422,7 @@ def test_complement_clears_a_key_reached_twice_once(ab, order, monkeypatch):
     words = family_ambient(family)
     assert [words[-i] for i in popped] == [w(ab, "zz"), w(ab, "zy"), w(ab, "yy")]
     assert got.rules == {w(ab, "xx"): p(ab, "x")}
-    monkeypatch.setattr(reduction, "heappop", heappop)
+    monkeypatch.setattr(linalg, "heappop", heappop)
     allowed = normal_form_words(family, family_ambient(family))
     words = ker_inv([Polynomial.monomial(u) for u in allowed], order)
     expected = join(meet(family), words)
