@@ -8,9 +8,9 @@ column is its rank there.  One fraction-free kernel, ``_reduce``, clears
 the pivot columns of a row; the one eliminator, ``eliminate``, is its
 forward pass and back-substitution, and ``reduction.complement``
 substitutes with it too.  Every basis in the package is one call of
-``eliminate``.  Polynomials hold ``Fraction`` coefficients:
-``_integer_rows`` ranks their words and clears their denominators once,
-and ``eliminate`` makes ``Fraction``s only for the monic rows it returns.
+``eliminate``, which returns primitive integer rows.  ``_integer_rows``
+clears the denominators of ``Fraction`` vectors once, and ``_polynomials``
+and ``reduction._operator`` divide each row by its pivot entry once.
 """
 
 from __future__ import annotations
@@ -175,13 +175,13 @@ def eliminate(rows: Iterable[dict]) -> dict:
     """Sparse exact reduced row echelon form of ``rows``: nonzero integer
     rows over int columns, which it changes in place.
 
-    The pivot of a row is its greatest column.  Returns the monic, fully
-    inter-reduced ``Fraction`` rows keyed by pivot.  The rows are taken by
+    The pivot of a row is its greatest column.  Returns the fully
+    inter-reduced primitive integer rows keyed by pivot.  The rows are taken by
     increasing pivot, so a new pivot seldom occurs in the rows before it.
     Each is reduced against the pivot rows so far by ``_reduce``, and its
     pivot is then cleared from them by ``_reduce``.  The reduced echelon
     form is unique, so the rows returned do not depend on the order
-    ``rows`` come in.
+    ``rows`` come in, up to each row's sign.
     """
     pivots: dict[int, dict] = {}
     for row in sorted(rows, key=max):
@@ -194,10 +194,7 @@ def eliminate(rows: Iterable[dict]) -> dict:
             if pivot in other:
                 _reduce(other, single)
         pivots[pivot] = row
-    return {
-        pivot: {col: Fraction(c, row[pivot]) for col, c in row.items()}
-        for pivot, row in pivots.items()
-    }
+    return pivots
 
 
 def _ranks(words: Iterable[Word], key: Callable) -> tuple[list[Word], dict[Word, int]]:
@@ -221,10 +218,11 @@ def _integer_rows(vectors: Iterable[Mapping], key: Callable) -> tuple[list[Word]
 
 
 def _polynomials(pivots: Mapping[int, Mapping], words: Sequence[Word]) -> list[Polynomial]:
-    """The rows ``pivots`` of ``eliminate``, over the ranks of ``words``, as
-    polynomials by decreasing leading word."""
+    """The integer rows ``pivots`` of ``eliminate``, over the ranks of
+    ``words``, each divided by its pivot entry once: monic polynomials by
+    decreasing leading word."""
     return [
-        Polynomial._trusted({words[j]: c for j, c in pivots[i].items()})
+        Polynomial._trusted({words[j]: Fraction(c, pivots[i][i]) for j, c in pivots[i].items()})
         for i in sorted(pivots, reverse=True)
     ]
 

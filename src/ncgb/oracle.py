@@ -103,12 +103,11 @@ class BuchbergerResult:
 def buchberger(R: RuleSet, degree_cap: int, iteration_cap: int) -> BuchbergerResult:
     """Classical completion: adjoin reduced S-polynomials until none survive.
 
-    New rules whose leading word would exceed ``degree_cap`` are skipped;
-    the result is then only complete up to that degree and the converged
-    flag reports whether a full pass added nothing.
+    Residues whose leading word would exceed ``degree_cap`` are skipped.  A
+    run converges when a full pass adds none and no residue was ever skipped.
     """
     rules = RuleSet(R.order, list(R.rules))
-    converged = False
+    converged = skipped = False
     for _ in range(iteration_cap):
         added = False
         for amb in ambiguities(rules):
@@ -118,11 +117,12 @@ def buchberger(R: RuleSet, degree_cap: int, iteration_cap: int) -> BuchbergerRes
                 continue
             residue = residue.monic(rules.order)
             if len(residue.leading(rules.order)[0]) > degree_cap:
+                skipped = True
                 continue
             rules.rules.append(residue)
             added = True
         if not added:
-            converged = True
+            converged = not skipped
             break
     return BuchbergerResult(rules=rules, converged=converged)
 

@@ -11,9 +11,9 @@ words.  Each of ``ker_inv``, ``meet``, ``join`` and ``complement`` is one
 pass of ``linalg.eliminate`` on integer rows over ranks: the operation's
 words are sorted once (``linalg._ranks``), and a word's rank is its index
 there.  ``_kernel_rows`` is the only crossing from rules to rows, and
-``_operator``, which maps the ranks back to words, the only one back.  A
-key's primitive integer row is made from its image on each read, by
-clearing the denominators, and is not cached.  ``complement`` is the
+``_operator`` the only one back: it maps ranks to words and divides each
+integer row by its pivot entry, one ``Fraction`` per coefficient.  A key's
+integer row is made from its image on each read.  ``complement`` is the
 structured elimination of F4: the first kernel row of each key is a
 reducer whose pivot is already known, every other row is reduced against
 the reducers by ``linalg._reduce``, the kernel ``eliminate`` runs on too,
@@ -24,6 +24,7 @@ negates it when that coefficient is 1, and needs no elimination.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -153,16 +154,17 @@ def _kernel_rows(
 def _operator(
     pivots: Mapping[int, Mapping], words: Sequence[Word], order: DegLexOrder
 ) -> ReductionOperator:
-    """The operator whose kernel has the monic, inter-reduced rows ``pivots``
-    (keyed by pivot, over the ranks of ``words``) as basis: the rule for
-    pivot w is w minus its row.  The rules, and the terms of each image, are
-    by decreasing word.  The only crossing from rows to rules."""
+    """The operator whose kernel has the integer rows ``pivots`` of
+    ``eliminate`` (keyed by pivot, over the ranks of ``words``) as basis: the
+    rule for pivot w is w minus its row over its pivot entry, one ``Fraction``
+    per image coefficient.  The rules, and the terms of each image, are by
+    decreasing word.  The only crossing from rows to rules."""
     rules = {}
     for i in sorted(pivots, reverse=True):
         row = pivots[i]
         # The pivot is the row's greatest rank, so it sorts first.
         rules[words[i]] = Polynomial._trusted(
-            {words[j]: -row[j] for j in sorted(row, reverse=True)[1:]}
+            {words[j]: Fraction(row[j], -row[i]) for j in sorted(row, reverse=True)[1:]}
         )
     return ReductionOperator._trusted(order, rules)
 

@@ -44,6 +44,18 @@ x.y -> 3*w.y + 3*w.x + 3*w
 y.x -> -2*x.x + 9*w.y + 9*w.x - y + 9*w
 """
 
+# Under a degree cap of 4 the naive completion skips x.x.x.x.x - x.x.x and
+# x.x.x.x.x, then reaches the basis {y, x.x.x}; the lattice completion
+# stops at the cap after one step.
+SKIPPING_TEXT = """\
+alphabet: x y
+order: deglex
+rules:
+x.y.y -> 3*y
+y.x.x -> 3*x.x.x
+y.x.y -> 0
+"""
+
 
 @pytest.fixture
 def xyz() -> Alphabet:

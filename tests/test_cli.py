@@ -3,7 +3,7 @@ import pytest
 from ncgb import oracle
 from ncgb.cli import main
 
-from conftest import BRAIDED_TEXT, COMPLETED_BRAIDED_TEXT
+from conftest import BRAIDED_TEXT, COMPLETED_BRAIDED_TEXT, SKIPPING_TEXT
 
 # The whole --trace report of the braided example, layout included.
 BRAIDED_TRACE = """\
@@ -177,6 +177,17 @@ def test_branchings(braided_file, completed_file, capsys):
 def test_oracle(braided_file, capsys):
     assert main(["oracle", braided_file]) == 0
     assert "AGREE" in capsys.readouterr().out
+
+
+def test_oracle_is_inconclusive_when_both_engines_hit_their_caps(tmp_path, capsys):
+    # The naive completion skips residues above degree 4 before it reaches
+    # a basis holding y, and the lattice completion stops at degree 4.
+    path = tmp_path / "skipping.txt"
+    path.write_text(SKIPPING_TEXT)
+    assert main(["oracle", str(path), "--max-deg", "4"]) == 1
+    assert capsys.readouterr().out == "INCONCLUSIVE: both engines hit their caps\n"
+    assert main(["oracle", str(path), "--max-deg", "5"]) == 0
+    assert capsys.readouterr().out == "AGREE\n"
 
 
 def test_oracle_enumerates_no_words(braided_file, capsys, monkeypatch):

@@ -35,6 +35,7 @@ from ncgb.reduction import (
     complement,
     family_ambient,
     identity,
+    join,
     ker_inv,
     leq,
     meet,
@@ -596,7 +597,10 @@ def _assert_exact(x):
 def test_engine_built_objects_hold_nonzero_fractions():
     # The engine builds its polynomials and operators without checking them
     # again, so only this walk sees an int, a float or a zero coefficient
-    # slip in.  The draws are those of test_completion_soundness_random.
+    # slip in.  Elimination runs on integer rows, and each lattice operation
+    # makes its Fractions only when it turns the rows back into polynomials,
+    # so every one of them is walked too.  The draws are those of
+    # test_completion_soundness_random.
     rng = random.Random(307)
     limits = CompletionLimits(max_iterations=12, max_rule_degree=6)
     for _ in range(25):
@@ -617,3 +621,8 @@ def test_engine_built_objects_hold_nonzero_fractions():
             _assert_exact((f.sandwich(key[:1], key[1:]), -f, f + image, f + -f, f.scale(0)))
         for f in polys:
             _assert_exact((T.apply(f), normal_form(result.completed, f)))
+        ops = [step.operator_before for step in result.steps] + [T]
+        allowed = {u for f in polys[::2] for u in f.support()}
+        _assert_exact((ker_inv(polys, T.order), meet(ops), join(ops[0], T), complement(ops)))
+        _assert_exact(tuple(linalg.reduced_basis(polys, T.order)))
+        _assert_exact(tuple(linalg.coordinate_subspace_intersection(polys, allowed, T.order)))

@@ -145,9 +145,10 @@ def _rescaled(rng, rows, key):
 def test_eliminate_is_independent_of_row_order(ab, order):
     # Each column order is expressed as the ranks of its sorted columns by
     # ``_integer_rows``, which also clears the denominators of the rescaled
-    # rows; the ranks are mapped back to columns to compare with the Fraction
-    # reference.  The reference runs on copies, because ``eliminate`` changes
-    # the rows it is given.
+    # rows.  ``eliminate`` returns primitive integer rows, unique up to sign;
+    # each is divided by its pivot entry and its ranks are mapped back to
+    # columns to compare with the Fraction reference.  The reference runs on
+    # copies, because ``eliminate`` changes the rows it is given.
     rng = random.Random(808)
     scaler = random.Random(809)
     words = all_words(ab, 3)
@@ -170,10 +171,14 @@ def test_eliminate_is_independent_of_row_order(ab, order):
                 ]
                 assert all(type(c) is int for r in integer_rows for c in r.values())
                 got = eliminate(integer_rows)
+                for i, row in got.items():
+                    assert all(type(c) is int for c in row.values())
+                    assert gcd(*row.values()) == 1
+                    assert max(row) == i
                 assert {
-                    ranked[i]: {ranked[j]: c for j, c in row.items()} for i, row in got.items()
+                    ranked[i]: {ranked[j]: Fraction(c, row[i]) for j, c in row.items()}
+                    for i, row in got.items()
                 } == _eliminate_in_given_order([dict(r) for r in given], key) == expected
-                assert all(type(c) is Fraction for row in got.values() for c in row.values())
 
 
 def _reduce_reference(row, pivots):

@@ -11,11 +11,12 @@ from ncgb.oracle import (
     lm_set_up_to_degree,
     naive_reduce,
 )
+from ncgb.fileformat import parse_presentation
 from ncgb.linalg import Polynomial
 from ncgb.presentation import critical_branchings, groebner_rules
 from ncgb.words import Alphabet, DegLexOrder
 
-from conftest import all_words, p, random_presentation, w
+from conftest import SKIPPING_TEXT, all_words, p, random_presentation, w
 
 
 @pytest.fixture
@@ -128,6 +129,16 @@ def test_buchberger_empty(order):
     result = buchberger(RuleSet(order, []), degree_cap=5, iteration_cap=5)
     assert result.converged
     assert result.rules.rules == []
+
+
+def test_buchberger_that_skipped_a_residue_has_not_converged():
+    # Its last pass adds nothing and skips nothing, but residues above the
+    # cap were skipped on the way, so the run hit its cap, as the lattice
+    # completion of the same input does.
+    P = parse_presentation(SKIPPING_TEXT)
+    R = RuleSet.from_polynomials(groebner_rules(P), P.order)
+    assert buchberger(R, degree_cap=4, iteration_cap=64).converged is False
+    assert buchberger(R, degree_cap=5, iteration_cap=64).converged is True
 
 
 def test_converged_buchberger_solves_all_ambiguities(braid_rules, order):
