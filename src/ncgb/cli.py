@@ -31,7 +31,8 @@ from .presentation import (
 
 
 def _load(path: str) -> Presentation:
-    text = Path(path).read_text(encoding="utf-8")
+    # utf-8-sig drops a leading byte-order mark, as some editors write one.
+    text = Path(path).read_text(encoding="utf-8-sig")
     return parse_presentation(text)
 
 

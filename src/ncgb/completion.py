@@ -179,24 +179,23 @@ def _meet_complement(U: ReductionOperator, comp: ReductionOperator) -> Reduction
 
 
 def _seeds(U: ReductionOperator, branchings: list[CriticalBranching]) -> list[ReductionOperator]:
-    """The rule w -> S_{n,m}(w) of each nonzero one-step leg of every
-    branching, in order.
+    """The rule w -> S_{n,m}(w) of both one-step legs of every branching of
+    U, in order.
 
     A leg at offsets (n, m) is l.(k - U(k)).r for the middle factor k of w,
     a key of U, and w = l.k.r.  Its rule's image l.U(k).r is built from U's
     rule for k.  U(k) is smaller than k, so every word of the image is
-    smaller than w.  A middle factor that is not a key gives a zero leg and
-    no rule.  Repeated rules are left to ``normalisation``.
+    smaller than w.  The callers pass U's own branchings, each listed once,
+    so every middle factor is a key and every leg gives a rule.  Repeated
+    rules are left to ``normalisation``.
     """
     order, rules = U.order, U.rules
     out = []
     for b in branchings:
         w = b.source
         for n, m in (b.left, b.right):
-            key = w[n : len(w) - m]
-            if key in rules:
-                image = rules[key].sandwich(w[:n], w[len(w) - m :])
-                out.append(ReductionOperator._trusted(order, {w: image}))
+            image = rules[w[n : len(w) - m]].sandwich(w[:n], w[len(w) - m :])
+            out.append(ReductionOperator._trusted(order, {w: image}))
     return out
 
 
@@ -206,24 +205,24 @@ def complete(P: Presentation, limits: CompletionLimits | None = None) -> Complet
     The loop stops at the first step with no new critical branching.  The
     meet only adds kernel vectors, so the keys only grow, and a branching
     fixes its two keys, so the new branchings of a step are exactly those
-    where a new key reduces.  Each step asks ``critical_branchings`` for
-    those alone and merges them into the last step's sorted branchings; no
-    new key means no new branching, and then nothing is enumerated.
+    where a fresh key reduces.  The first step's fresh keys are P's keys,
+    and a later step's are the keys the step before it added.  Each step
+    asks ``critical_branchings`` for those alone and merges them into the
+    last step's sorted branchings; no fresh key means no new branching, and
+    then nothing is enumerated.
     """
     limits = limits or CompletionLimits()
     order = P.order
     pres = P
-    seen: set[Word] = set()
+    fresh = P.operator.rules.keys()
     previous: tuple[CriticalBranching, ...] = ()
     steps: list[CompletionStep] = []
     while True:
-        fresh = pres.operator.rules.keys() - seen
         new = critical_branchings(pres, fresh) if fresh else []
         if not new:
             return CompletionResult(pres, tuple(steps), CONVERGED)
         if len(steps) >= limits.max_iterations:
             return CompletionResult(pres, tuple(steps), ITERATION_CAP)
-        seen |= fresh
         current = tuple(merge(previous, new, key=lambda b: _branching_key(order, b)))
         comp = complement(normalisation(_seeds(pres.operator, new), pres.operator))
         op_next = _meet_complement(pres.operator, comp)
@@ -237,6 +236,7 @@ def complete(P: Presentation, limits: CompletionLimits | None = None) -> Complet
                 operator_after=op_next,
             )
         )
+        fresh = op_next.rules.keys() - pres.operator.rules.keys()
         pres = Presentation._trusted(P.alphabet, order, op_next)
         previous = current
         if any(len(w) > limits.max_rule_degree for w in op_next.rules):

@@ -87,24 +87,26 @@ def critical_branchings(
     tested.  With ``keys``, only the branchings where one of ``keys``
     reduces are returned, and only the pairs (key in ``keys``, any key) and
     (other key, key in ``keys``) are tested.  Words of ``keys`` that are
-    not keys of the operator reduce nothing.
+    not keys of the operator reduce nothing.  Each branching is listed
+    once: both orders of a tested pair are tested, so an overlap u = a.b,
+    v = b.c with a or c empty, an inclusion listed for the other order by
+    ``factor_occurrences``, is skipped.
     """
     # A rule keyed by the empty word (the ideal contains a constant) admits
     # no branchings: the middle factor of an extension is always nonempty.
-    everything = sorted((k for k in P.operator.rules if k), key=P.order.key)
+    everything = [k for k in P.operator.rules if k]
     if keys is None:
         keys = P.operator.rules.keys()
     chosen = [k for k in everything if k in keys]
     others = [k for k in everything if k not in keys]
-    pairs = chain(product(chosen, everything), product(others, chosen))
-    found: set[CriticalBranching] = set()
-    for u, v in pairs:
+    found = []
+    for u, v in chain(product(chosen, everything), product(others, chosen)):
         for a, _, c in overlaps(u, v):
-            found.add(CriticalBranching.make(a + v, (len(a), 0), (0, len(c))))
+            if a and c:
+                found.append(CriticalBranching(a + v, (len(a), 0), (0, len(c))))
         for n, m in factor_occurrences(u, v):
-            if u == v and (n, m) == (0, 0):
-                continue
-            found.add(CriticalBranching.make(u, (n, m), (0, 0)))
+            if u != v or (n, m) != (0, 0):
+                found.append(CriticalBranching(u, (n, m), (0, 0)))
     return sorted(found, key=lambda b: _branching_key(P.order, b))
 
 
@@ -128,8 +130,6 @@ def normal_form(P: Presentation, f: Polynomial) -> Polynomial:
     replaces a monomial by strictly smaller ones.
     """
     rules = P.operator.rules
-    if not rules:
-        return f
     if () in rules:
         # The only image smaller than the empty word is zero, so the rule
         # kills the unit and with it every word: w = w.1 rewrites to 0.

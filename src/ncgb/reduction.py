@@ -143,11 +143,9 @@ def _kernel_rows(
 ) -> Iterator[dict]:
     """The row ``T._row(w, rank)`` of each rule, over the ranks of its
     words, by decreasing w within each member; the only crossing from rules
-    to rows.  Each row is new, so a caller may change it.  A single-rule
-    member, such as a completion step's family member, needs no sort."""
+    to rows.  Each row is new, so a caller may change it."""
     for T in family:
-        rules = T.rules
-        for w in sorted(rules, key=rank.__getitem__, reverse=True) if len(rules) > 1 else rules:
+        for w in sorted(T.rules, key=rank.__getitem__, reverse=True):
             yield T._row(w, rank)
 
 

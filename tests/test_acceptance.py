@@ -41,6 +41,7 @@ from ncgb.reduction import (
     obstructions,
     single_rule,
 )
+from ncgb.words import Alphabet, DegLexOrder
 
 from conftest import (
     all_words,
@@ -187,6 +188,31 @@ def test_criterion_5_complement_axioms(deglex_xyz):
         assert is_confluent_family(family + [C])
     assert cases >= 200
     print(f"criterion 5 (complement axioms, {cases} cases): PASS")
+
+
+def test_criterion_5_lattice_criterion_for_confluence():
+    # A family is confluent exactly when its complement is the identity, and
+    # its obstructions on its ambient are exactly the complement's keys.
+    cases = confluent = 0
+    for seed in (5, 9):
+        rng = random.Random(seed)
+        for _ in range(600):
+            alphabet = Alphabet(tuple("xyz"[: rng.randint(2, 3)]))
+            order = DegLexOrder(alphabet)
+            ambient = all_words(alphabet, 3)
+            family = [
+                random_operator(rng, order, ambient) for _ in range(rng.randint(1, 4))
+            ]
+            C = complement(family)
+            assert is_confluent_family(family) == (not C.rules)
+            assert obstructions(family, family_ambient(family)) == set(C.rules)
+            cases += 1
+            confluent += not C.rules
+    assert 0 < confluent < cases
+    print(
+        f"criterion 5 (lattice criterion for confluence, {cases} families, "
+        f"{confluent} confluent): PASS"
+    )
 
 
 def test_criterion_6_oracle_equivalence():

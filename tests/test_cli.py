@@ -109,6 +109,16 @@ def test_complete_braided(braided_file, capsys):
     assert "branchings: 6" in out
 
 
+def test_complete_reads_a_file_with_a_byte_order_mark(braided_file, tmp_path, capsys):
+    assert main(["complete", braided_file]) == 0
+    expected = capsys.readouterr().out
+    bom = tmp_path / "bom.txt"
+    bom.write_text(BRAIDED_TEXT, encoding="utf-8-sig")
+    assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert main(["complete", str(bom)]) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_complete_output_is_reparsable(braided_file, tmp_path, capsys):
     main(["complete", braided_file])
     out = capsys.readouterr().out

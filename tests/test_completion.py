@@ -35,10 +35,12 @@ from ncgb.reduction import (
     complement,
     family_ambient,
     identity,
+    is_confluent_family,
     join,
     ker_inv,
     leq,
     meet,
+    obstructions,
     single_rule,
 )
 from ncgb.words import Alphabet, DegLexOrder
@@ -212,6 +214,21 @@ def test_step_records_store_no_family():
             family = step.normalised_family
             assert type(family) is tuple and family
             assert complement(family) == step.complement_op
+
+
+def test_step_families_meet_the_lattice_criterion_for_confluence():
+    # A step's family is confluent exactly when its complement is the
+    # identity, and its obstructions on its ambient are the complement's keys.
+    families = confluent = 0
+    for P, limits in _differential_cases():
+        for step in complete(P, limits).steps:
+            family = list(step.normalised_family)
+            C = complement(family)
+            assert is_confluent_family(family) == (not C.rules)
+            assert obstructions(family, family_ambient(family)) == set(C.rules)
+            families += 1
+            confluent += not C.rules
+    assert 0 < confluent < families
 
 
 def test_complement_does_not_depend_on_the_reducer_choice():

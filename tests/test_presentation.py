@@ -200,7 +200,7 @@ def test_critical_branchings_from_keys_match_filtered_enumeration(
 ):
     # With keys, only the pairs that hold one of them are tested; the
     # reference is the full enumeration filtered to the branchings with a
-    # middle factor in keys, in the same order.
+    # middle factor in keys, in the same order.  No branching is listed twice.
     rng = random.Random(5)
     presentations = [(braided, set(braided.operator.rules))]
     presentations.append((s1_presentation, {w(ab, "yxy")}))
@@ -208,12 +208,15 @@ def test_critical_branchings_from_keys_match_filtered_enumeration(
     checked = 0
     for P, new in presentations:
         everything = critical_branchings(P)
+        assert len(everything) == len(set(everything))
         keys = sorted(P.operator.rules)
         subsets = [new, set(keys), set(rng.sample(keys, rng.randint(0, len(keys))))]
         subsets.append(subsets[-1] | {w(ab, "xyzzy"), ()})
         for subset in subsets:
             expected = [b for b in everything if _middle_factors(b) & subset]
-            assert critical_branchings(P, subset) == expected
+            bs = critical_branchings(P, subset)
+            assert len(bs) == len(set(bs))
+            assert bs == expected
             checked += bool(expected) and len(expected) < len(everything)
         assert critical_branchings(P, set()) == []
         assert critical_branchings(P, {()}) == []
