@@ -53,10 +53,12 @@ def _write_trace(path: str, P: Presentation, result: CompletionResult) -> None:
         for b in step.branchings:
             marker = " (old)" if b in old else ""
             lines.append(f"    {_fmt_branching(P, b)}{marker}")
+        # One build of the seed rules: normalised_family would make another.
+        seeds = step.spol_seeds
         lines.append("  seeds:")
-        lines.extend(f"    {_fmt_poly(P, f)}" for f in step.spol_seeds)
+        lines.extend(f"    {_fmt_poly(P, f)}" for f in seeds)
         lines.append("  normalised family kernels:")
-        for T in step.normalised_family:
+        for T in completion.normalisation(seeds, step.operator_before):
             lines.extend(f"    {_fmt_poly(P, v)}" for v in T.kernel_basis())
         for title, op in (
             ("complement rules", step.complement_op),
@@ -86,12 +88,13 @@ def _cmd_complete(args) -> int:
         max_iterations=args.max_iter, max_rule_degree=args.max_deg
     )
     result = complete(P, limits)
+    # The trace first: a path that cannot be written exits 2 with no output.
+    if args.trace:
+        _write_trace(args.trace, P, result)
     sys.stdout.write(serialize_presentation(result.completed))
     print(f"status: {result.status}")
     print(f"iterations: {len(result.steps)}")
     print(f"branchings: {_branching_count(result)}")
-    if args.trace:
-        _write_trace(args.trace, P, result)
     return 0 if result.status == completion.CONVERGED else 1
 
 

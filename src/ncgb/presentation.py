@@ -88,9 +88,8 @@ def critical_branchings(
     reduces are returned, and only the pairs (key in ``keys``, any key) and
     (other key, key in ``keys``) are tested.  Words of ``keys`` that are
     not keys of the operator reduce nothing.  Each branching is listed
-    once: both orders of a tested pair are tested, so an overlap u = a.b,
-    v = b.c with a or c empty, an inclusion listed for the other order by
-    ``factor_occurrences``, is skipped.
+    once: an overlap comes from one ordered pair of keys, and an inclusion
+    from the pair (including key, included key).
     """
     # A rule keyed by the empty word (the ideal contains a constant) admits
     # no branchings: the middle factor of an extension is always nonempty.
@@ -102,8 +101,7 @@ def critical_branchings(
     found = []
     for u, v in chain(product(chosen, everything), product(others, chosen)):
         for a, _, c in overlaps(u, v):
-            if a and c:
-                found.append(CriticalBranching(a + v, (len(a), 0), (0, len(c))))
+            found.append(CriticalBranching(a + v, (len(a), 0), (0, len(c))))
         for n, m in factor_occurrences(u, v):
             if u != v or (n, m) != (0, 0):
                 found.append(CriticalBranching(u, (n, m), (0, 0)))

@@ -142,10 +142,10 @@ def _kernel_rows(
     family: Iterable[ReductionOperator], rank: Mapping[Word, int]
 ) -> Iterator[dict]:
     """The row ``T._row(w, rank)`` of each rule, over the ranks of its
-    words, by decreasing w within each member; the only crossing from rules
-    to rows.  Each row is new, so a caller may change it."""
+    words, in each member's rule order; the only crossing from rules to
+    rows.  Each row is new, so a caller may change it."""
     for T in family:
-        for w in sorted(T.rules, key=rank.__getitem__, reverse=True):
+        for w in T.rules:
             yield T._row(w, rank)
 
 

@@ -72,18 +72,16 @@ def factor_occurrences(w: Word, u: Word) -> list[tuple[int, int]]:
 
 
 def overlaps(u: Word, v: Word) -> list[tuple[Word, Word, Word]]:
-    """Proper overlaps u = ab, v = bc with b nonempty.
+    """Proper overlaps u = ab, v = bc with a, b and c nonempty, by increasing b.
 
-    The full self-overlap (u = v = b with a = c empty) is excluded; it would
-    only ever contribute a zero S-polynomial.
+    An empty a or c would make one word a factor of the other: that is an
+    inclusion, which ``factor_occurrences`` finds.
     """
     if not u or not v:
         raise ValueError("overlap operands must be nonempty")
     out = []
-    for k in range(1, min(len(u), len(v)) + 1):
+    for k in range(1, min(len(u), len(v))):
         if u[len(u) - k :] == v[:k]:
             a, b, c = u[: len(u) - k], u[len(u) - k :], v[k:]
-            if not a and not c:
-                continue
             out.append((a, b, c))
     return out

@@ -1,9 +1,11 @@
+import hashlib
+
 import pytest
 
-from ncgb import oracle
+from ncgb import completion, oracle
 from ncgb.cli import main
 
-from conftest import BRAIDED_TEXT, COMPLETED_BRAIDED_TEXT, SKIPPING_TEXT
+from conftest import BRAIDED_TEXT, COMPLETED_BRAIDED_TEXT, HEAVY_STEP_TEXT, SKIPPING_TEXT
 
 # The whole --trace report of the braided example, layout included.
 BRAIDED_TRACE = """\
@@ -153,6 +155,42 @@ def test_complete_trace_golden(braided_file, tmp_path):
     trace = tmp_path / "trace.txt"
     assert main(["complete", braided_file, "--trace", str(trace)]) == 0
     assert trace.read_text() == BRAIDED_TRACE
+
+
+def test_complete_trace_builds_each_step_seed_rules_once(tmp_path, capsys, monkeypatch):
+    # The report reads each step's seed rules once and normalises them once,
+    # so a traced run does the loop's work twice, and an untraced run once.
+    heavy = tmp_path / "heavy.txt"
+    heavy.write_text(HEAVY_STEP_TEXT)
+    calls = dict.fromkeys(("_seeds", "normalisation"), 0)
+    for name in calls:
+
+        def counting(*args, _name=name, _f=getattr(completion, name)):
+            calls[_name] += 1
+            return _f(*args)
+
+        monkeypatch.setattr(completion, name, counting)
+    args = ["complete", str(heavy), "--max-iter", "10", "--max-deg", "5"]
+    assert main(args) == 1
+    untraced = capsys.readouterr().out
+    assert calls == {"_seeds": 3, "normalisation": 3}
+    calls.update(dict.fromkeys(calls, 0))
+    trace = tmp_path / "trace.txt"
+    assert main(args + ["--trace", str(trace)]) == 1
+    assert capsys.readouterr().out == untraced
+    assert calls == {"_seeds": 6, "normalisation": 6}
+    # The whole report: 1,698 lines over three steps.
+    digest = hashlib.sha256(trace.read_bytes()).hexdigest()
+    assert digest.startswith("88a16a2d543b1e83")
+
+
+def test_complete_unwritable_trace_prints_nothing(braided_file, tmp_path, capsys):
+    # The trace is written before the result is printed, so a path that
+    # cannot be written, here a directory, exits 2 with nothing on stdout.
+    assert main(["complete", braided_file, "--trace", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
 
 
 def test_check(braided_file, completed_file, capsys):

@@ -49,7 +49,9 @@ from conftest import (
     BRAIDED_TEXT,
     COMPLETED_BRAIDED_TEXT,
     HEAVY_STEP_TEXT,
+    all_words,
     p,
+    random_operator,
     random_presentation,
     w,
 )
@@ -249,6 +251,46 @@ def test_complement_does_not_depend_on_the_reducer_choice():
                     assert all(type(c) is Fraction for _, c in image.items())
 
 
+def test_lattice_operations_do_not_depend_on_the_rule_order(order):
+    # _kernel_rows reads each member's rules in their stored order, which is
+    # by decreasing word for every operator the engine builds.  Rebuilt with
+    # its rule map reversed or shuffled, an operator gives the same meet,
+    # join and complement: the same rules, in the same order, with the same
+    # terms in the same order and Fraction coefficients.
+    rng = random.Random(23)
+    pairs = [
+        (step.operator_before, step.operator_after)
+        for P, limits in _differential_cases()
+        for step in complete(P, limits).steps
+    ]
+    # Keys collide more often over the shorter words, and the complement of
+    # a pair then has rows to reduce.
+    for ambient in (all_words(order.alphabet, 2), all_words(order.alphabet, 3)):
+        pairs += [
+            (random_operator(rng, order, ambient, 4), random_operator(rng, order, ambient, 4))
+            for _ in range(300)
+        ]
+
+    def operations(S, T):
+        return meet([S, T]), join(S, T), complement([S, T])
+
+    def rebuilt(T, rearrange):
+        return ReductionOperator(T.order, dict(rearrange(list(T.rules.items()))))
+
+    reordered = 0
+    for S, T in pairs:
+        expected = operations(S, T)
+        for rearrange in (lambda items: items[::-1], lambda items: rng.sample(items, len(items))):
+            S2, T2 = rebuilt(S, rearrange), rebuilt(T, rearrange)
+            reordered += list(S2.rules) != list(S.rules) or list(T2.rules) != list(T.rules)
+            for got, want in zip(operations(S2, T2), expected):
+                assert list(got.rules) == list(want.rules)
+                for w, image in got.rules.items():
+                    assert list(image.items()) == list(want.rules[w].items())
+                    assert all(type(c) is Fraction for _, c in image.items())
+    assert reordered > len(pairs)
+
+
 def test_branching_count_matches_full_enumeration():
     # ncgb complete prints the last step's merged branchings plus those of
     # the keys it added, instead of enumerating every key's branchings again.
@@ -408,11 +450,7 @@ def test_complement_leaves_cached_rows_unchanged():
     fresh = [ReductionOperator(P.order, T.rules) for T in family]
     assert list(meet(family).rules.items()) == list(meet(fresh).rules.items())
     for ops in (family, [step.operator_before]):
-        expected = [
-            _row_reference(w, T.rules[w])
-            for T in ops
-            for w in sorted(T.rules, key=P.order.key, reverse=True)
-        ]
+        expected = [_row_reference(w, image) for T in ops for w, image in T.rules.items()]
         words = family_ambient(ops)
         rows = _kernel_rows(ops, {u: i for i, u in enumerate(words)})
         assert [[(words[j], c) for j, c in row.items()] for row in rows] == expected

@@ -101,6 +101,9 @@ def test_overlaps_examples(ab):
         (w(ab, "yx"), w(ab, "y"), w(ab, "z"))
     ]
     assert overlaps(w(ab, "yz"), w(ab, "yz")) == []
+    # A prefix or a suffix is an inclusion, not an overlap.
+    assert overlaps(w(ab, "yz"), w(ab, "yzx")) == []
+    assert overlaps(w(ab, "xyz"), w(ab, "yz")) == []
 
 
 def test_overlaps_decompose_exactly(ab):
@@ -112,11 +115,11 @@ def test_overlaps_decompose_exactly(ab):
             assert b
             assert a + b == u
             assert b + c == v
-            assert a or c
+            assert a and c
         # Every valid decomposition is found.
         expected = [
             (u[: len(u) - k], u[len(u) - k :], v[k:])
             for k in range(1, min(len(u), len(v)) + 1)
-            if u[len(u) - k :] == v[:k] and (u[: len(u) - k] or v[k:])
+            if u[len(u) - k :] == v[:k] and (u[: len(u) - k] and v[k:])
         ]
         assert overlaps(u, v) == expected
