@@ -8,16 +8,18 @@ column is its rank there.  One fraction-free kernel, ``_reduce``, clears
 the pivot columns of a row; the one eliminator, ``eliminate``, is its
 forward pass and back-substitution, and ``reduction.complement``
 substitutes with it too.  Every basis in the package is one call of
-``eliminate``, which returns primitive integer rows.  ``_integer_rows``
-clears the denominators of ``Fraction`` vectors once, and ``_polynomials``
-and ``reduction._operator`` divide each row by its pivot entry once.
+``eliminate``, which returns primitive integer rows.  The crossings
+between ``Fraction`` polynomials and integer rows are
+``reduction.ReductionOperator._row`` and ``reduction._operator``, one
+each way; ``reduced_basis`` and ``coordinate_subspace_intersection`` go
+through the reduction operators too.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
+from math import gcd
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .words import DegLexOrder, Word
@@ -34,14 +36,14 @@ class Polynomial:
                 c = Fraction(c)
                 if c:
                     clean[tuple(w)] = c
-        object.__setattr__(self, "_terms", clean)
+        self._terms = clean
 
     @classmethod
     def _trusted(cls, terms: dict[Word, Fraction]) -> "Polynomial":
         """The polynomial on ``terms``, a dict the engine built that already
         holds nonzero ``Fraction``s under tuple words; taken as it is."""
         self = cls.__new__(cls)
-        object.__setattr__(self, "_terms", terms)
+        self._terms = terms
         return self
 
     @classmethod
@@ -204,49 +206,28 @@ def _ranks(words: Iterable[Word], key: Callable) -> tuple[list[Word], dict[Word,
     return ranked, {w: i for i, w in enumerate(ranked)}
 
 
-def _integer_rows(vectors: Iterable[Mapping], key: Callable) -> tuple[list[Word], list[dict]]:
-    """The words of the ``Fraction`` vectors ranked by ``key`` (``_ranks``),
-    and each nonzero vector, times the lcm of its denominators, as an
-    integer row over their ranks."""
-    vectors = [v for v in vectors if v]
-    words, rank = _ranks({u for v in vectors for u in v}, key)
-    rows = []
-    for v in vectors:
-        m = lcm(*(c.denominator for c in v.values()))
-        rows.append({rank[u]: c.numerator * (m // c.denominator) for u, c in v.items()})
-    return words, rows
-
-
-def _polynomials(pivots: Mapping[int, Mapping], words: Sequence[Word]) -> list[Polynomial]:
-    """The integer rows ``pivots`` of ``eliminate``, over the ranks of
-    ``words``, each divided by its pivot entry once: monic polynomials by
-    decreasing leading word."""
-    return [
-        Polynomial._trusted({words[j]: Fraction(c, pivots[i][i]) for j, c in pivots[i].items()})
-        for i in sorted(pivots, reverse=True)
-    ]
-
-
+# ``reduction`` imports this module, so the two functions below import
+# from it when they are called.
 def reduced_basis(vectors: Iterable[Polynomial], order: DegLexOrder) -> list[Polynomial]:
-    """Unique monic auto-reduced basis of the span, by decreasing leading word."""
-    words, rows = _integer_rows((v._terms for v in vectors), order.key)
-    return _polynomials(eliminate(rows), words)
+    """Unique monic auto-reduced basis of the span, by decreasing leading
+    word: the kernel basis of ``reduction.ker_inv``.  No engine code calls
+    this; the benchmark names it."""
+    from .reduction import ker_inv
+
+    return ker_inv(vectors, order).kernel_basis()
 
 
 def coordinate_subspace_intersection(
     A: Sequence[Polynomial], allowed: set[Word], order: DegLexOrder
 ) -> list[Polynomial]:
-    """Reduced basis of the vectors of span(A) supported inside ``allowed``.
-
-    Every disallowed word is ranked above every allowed one, so the rows
-    whose pivot is allowed are supported inside ``allowed`` and span the
-    intersection.  On allowed words the ranking is deg-lex, so they are
-    already its reduced basis.  No engine code calls this; it is the
-    reference ``complement`` is tested against, and the benchmark names it.
+    """Reduced basis of the vectors of span(A) supported inside ``allowed``:
+    the kernel basis of the join of ``ker_inv(A)`` with the operator whose
+    kernel is spanned by the allowed words of A's support, since a join's
+    kernel is the intersection of the kernels.  No engine code calls this;
+    the benchmark names it.
     """
-    allowed = set(allowed)
-    words, rows = _integer_rows(
-        (a._terms for a in A), lambda w: (w not in allowed, order.key(w))
-    )
-    pivots = eliminate(rows)
-    return _polynomials({i: row for i, row in pivots.items() if words[i] in allowed}, words)
+    from .reduction import join, ker_inv
+
+    support = {u for a in A for u in a._terms}
+    words = [Polynomial.monomial(u) for u in support & set(allowed)]
+    return join(ker_inv(A, order), ker_inv(words, order)).kernel_basis()

@@ -7,10 +7,14 @@ word.  The identity on every unlisted word is implicit.  Operators are in
 bijection with finite-dimensional subspaces (their kernels), which is what
 realises the lattice operations: meet by kernel sum, join by kernel
 intersection, and the complement by intersection with the normal-form
-words.  Each of ``ker_inv``, ``meet``, ``join`` and ``complement`` is one
-pass of ``linalg.eliminate`` on integer rows over ranks: the operation's
-words are sorted once (``linalg._ranks``), and a word's rank is its index
-there.  ``_kernel_rows`` is the only crossing from rules to rows, and
+words.  ``single_rule`` gives the operator of one line by dividing its
+polynomial by the leading coefficient, or negating it when that
+coefficient is 1, with no elimination; ``ker_inv`` of a span is the meet
+of its lines' operators.  Each of ``meet``, ``join`` and ``complement`` is
+one pass of ``linalg.eliminate`` on integer rows over ranks: the
+operation's words are sorted once (``linalg._ranks``), and a word's rank
+is its index there.  ``ReductionOperator._row`` is the package's only
+crossing from rules to rows, the only place denominators are cleared, and
 ``_operator`` the only one back: it maps ranks to words and divides each
 integer row by its pivot entry, one ``Fraction`` per coefficient.  A key's
 integer row is made from its image on each read.  ``complement`` is the
@@ -18,8 +22,6 @@ structured elimination of F4: the first kernel row of each key is a
 reducer whose pivot is already known, every other row is reduced against
 the reducers by ``linalg._reduce``, the kernel ``eliminate`` runs on too,
 and only the residuals, which hold no key, are eliminated.
-``single_rule`` divides its polynomial by the leading coefficient, or
-negates it when that coefficient is 1, and needs no elimination.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .linalg import Polynomial, _add_multiple, _integer_rows, _ranks, _reduce, eliminate
+from .linalg import Polynomial, _add_multiple, _ranks, _reduce, eliminate
 from .words import DegLexOrder, Word
 
 
@@ -177,20 +179,15 @@ def _order(family: Sequence[ReductionOperator], operation: str) -> DegLexOrder:
     return order
 
 
-def ker_inv(vectors: Iterable[Polynomial], order: DegLexOrder) -> ReductionOperator:
-    """The operator whose kernel is the span of ``vectors``."""
-    words, rows = _integer_rows((v._terms for v in vectors), order.key)
-    return _operator(eliminate(rows), words, order)
-
-
 def kernel_basis(T: ReductionOperator) -> list[Polynomial]:
     return T.kernel_basis()
 
 
 def single_rule(f: Polynomial, order: DegLexOrder) -> ReductionOperator:
-    """ker_inv of the line spanned by one nonzero polynomial: the rule
-    w -> w - f / c, where c is the coefficient of f's leading word w.  A
-    monic ``f``, such as an S-polynomial leg, is negated, not divided."""
+    """The operator whose kernel is the line spanned by one nonzero
+    polynomial: the rule w -> w - f / c, where c is the coefficient of f's
+    leading word w.  A monic ``f``, such as an S-polynomial leg, is negated,
+    not divided.  ``ker_inv`` meets these operators for a span."""
     if f.is_zero():
         raise ValueError("single_rule requires a nonzero polynomial")
     w, c = f.leading(order)
@@ -212,6 +209,14 @@ def meet(family: Sequence[ReductionOperator]) -> ReductionOperator:
     order = _order(family, "meet")
     words, rank = _ranks(_support(family), order.key)
     return _operator(eliminate(_kernel_rows(family, rank)), words, order)
+
+
+def ker_inv(vectors: Iterable[Polynomial], order: DegLexOrder) -> ReductionOperator:
+    """The operator whose kernel is the span of ``vectors``: the meet of the
+    operators of their lines, since a meet's kernel is the sum of the
+    kernels, or the identity when no vector is nonzero."""
+    lines = [single_rule(v, order) for v in vectors if v]
+    return meet(lines) if lines else identity(order)
 
 
 def join(T1: ReductionOperator, T2: ReductionOperator) -> ReductionOperator:

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from ncgb.fileformat import parse_polynomial, parse_presentation
-from ncgb.linalg import Polynomial
+from ncgb.linalg import Polynomial, _add_multiple
 from ncgb.presentation import Presentation
 from ncgb.reduction import ReductionOperator, ker_inv
 from ncgb.words import Alphabet, DegLexOrder, Word
@@ -161,3 +161,23 @@ def dense_rank(vectors, order) -> int:
 def in_span(f: Polynomial, basis, order) -> bool:
     """Membership oracle: rank comparison with independent dense elimination."""
     return dense_rank(list(basis) + [f], order) == dense_rank(basis, order)
+
+
+def _eliminate_in_given_order(rows, key):
+    """Reference: the eliminator taking its rows in the order they come."""
+    pivots: dict = {}
+    for row in rows:
+        row = dict(row)
+        for col in [col for col in row if col in pivots]:
+            _add_multiple(row, -row.pop(col), pivots[col], col)
+        if not row:
+            continue
+        pivot = max(row, key=key)
+        inv = 1 / row[pivot]
+        row = {col: c * inv for col, c in row.items()}
+        for other in pivots.values():
+            c = other.pop(pivot, 0)
+            if c:
+                _add_multiple(other, -c, row, pivot)
+        pivots[pivot] = row
+    return pivots

@@ -214,6 +214,23 @@ def test_reduce(completed_file, braided_file, capsys):
     assert capsys.readouterr().out.strip() == "y.x.y"
 
 
+def test_repeated_key_with_rational_images(tmp_path, capsys):
+    # Two rules share the left-hand side z.z, so parsing meets the lines of
+    # z.z - 2*x and z.z - y - 1/3, and the rule y -> 2*x - 1/3 comes out.
+    path = tmp_path / "repeated.txt"
+    path.write_text(
+        "alphabet: x y z\norder: deglex\nrules:\nz.z -> 2*x\nz.z -> y + 1/3\n"
+    )
+    assert main(["complete", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        "alphabet: x y z\norder: deglex\nrules:\n"
+        "y -> 2*x - 1/3\nz.x -> x.z\nz.z -> 2*x\n"
+        "status: converged\niterations: 2\nbranchings: 2\n"
+    )
+    assert main(["reduce", str(path), "z.z.z - 3*y.z"]) == 0
+    assert capsys.readouterr().out == "-4*x.z + z\n"
+
+
 def test_branchings(braided_file, completed_file, capsys):
     assert main(["branchings", braided_file]) == 0
     out = capsys.readouterr().out.strip().splitlines()

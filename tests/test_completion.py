@@ -412,15 +412,18 @@ def test_complete_eliminates_once_per_step(monkeypatch):
 def test_complete_calls_no_single_rule(monkeypatch):
     # _seeds builds every seed rule from U's rule and hands normalisation
     # the rules; single_rule is left to polynomial seeds, one call each.
+    # The cases are built first: parsing a presentation runs ker_inv, which
+    # meets the single_rule operators of its rule lines.
     calls = []
 
     def counting(f, order):
         calls.append(f)
         return single_rule(f, order)
 
+    cases = _differential_cases()
     monkeypatch.setattr(completion, "single_rule", counting)
     monkeypatch.setattr(reduction, "single_rule", counting)
-    steps = [s for P, limits in _differential_cases() for s in complete(P, limits).steps]
+    steps = [s for P, limits in cases for s in complete(P, limits).steps]
     assert calls == []
     for step in steps:
         seeds = list(step.spol_seeds)

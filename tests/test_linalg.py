@@ -7,14 +7,22 @@ import pytest
 from ncgb.linalg import (
     Polynomial,
     _add_multiple,
-    _integer_rows,
     _reduce,
     coordinate_subspace_intersection,
     eliminate,
     reduced_basis,
 )
+from ncgb.reduction import ker_inv
 
-from conftest import all_words, dense_rank, in_span, p, random_polynomial, w
+from conftest import (
+    _eliminate_in_given_order,
+    all_words,
+    dense_rank,
+    in_span,
+    p,
+    random_polynomial,
+    w,
+)
 
 
 @pytest.fixture
@@ -75,26 +83,6 @@ def test_reduced_basis_is_idempotent_and_preserves_span(ab, order):
                     assert other.leading(order)[0] not in e.support()
 
 
-def _eliminate_in_given_order(rows, key):
-    """Reference: the eliminator taking its rows in the order they come."""
-    pivots: dict = {}
-    for row in rows:
-        row = dict(row)
-        for col in [col for col in row if col in pivots]:
-            _add_multiple(row, -row.pop(col), pivots[col], col)
-        if not row:
-            continue
-        pivot = max(row, key=key)
-        inv = 1 / row[pivot]
-        row = {col: c * inv for col, c in row.items()}
-        for other in pivots.values():
-            c = other.pop(pivot, 0)
-            if c:
-                _add_multiple(other, -c, row, pivot)
-        pivots[pivot] = row
-    return pivots
-
-
 def _random_rows(rng, columns):
     """Sparse Fraction rows, with empty rows, duplicates and combinations of
     earlier rows, which reduce to zero."""
@@ -117,11 +105,25 @@ def _random_rows(rng, columns):
     return rows
 
 
+def _integer_rows(rows, key):
+    """The columns of the ``Fraction`` rows ranked by ``key``, and each
+    nonzero row, times the lcm of its denominators, as an integer row over
+    the columns' ranks."""
+    rows = [row for row in rows if row]
+    ranked = sorted({col for row in rows for col in row}, key=key)
+    rank = {col: i for i, col in enumerate(ranked)}
+    out = []
+    for row in rows:
+        m = lcm(*(c.denominator for c in row.values()))
+        out.append({rank[col]: c.numerator * (m // c.denominator) for col, c in row.items()})
+    return ranked, out
+
+
 def _rescaled(rng, rows, key):
-    """The same lines, three ways ``_integer_rows`` and ``eliminate`` must
-    undo: each row times a rational whose numerator and denominator exceed
-    2**64, times an integer that leaves its cleared row a content above 1,
-    and negated where that makes its pivot entry negative."""
+    """The same lines, three ways ``eliminate`` must undo: each row times a
+    rational whose numerator and denominator exceed 2**64, times an integer
+    that leaves its cleared row a content above 1, and negated where that
+    makes its pivot entry negative."""
     def big():
         n = 2**65 + rng.getrandbits(64)
         return Fraction(rng.choice([-1, 1]) * (n + 1), n)
@@ -144,10 +146,10 @@ def _rescaled(rng, rows, key):
 
 def test_eliminate_is_independent_of_row_order(ab, order):
     # Each column order is expressed as the ranks of its sorted columns by
-    # ``_integer_rows``, which also clears the denominators of the rescaled
-    # rows.  ``eliminate`` returns primitive integer rows, unique up to sign;
-    # each is divided by its pivot entry and its ranks are mapped back to
-    # columns to compare with the Fraction reference.  The reference runs on
+    # the test's ``_integer_rows``, which also clears the denominators of
+    # the rescaled rows.  ``eliminate`` returns primitive integer rows,
+    # unique up to sign; each is divided by its pivot entry and its ranks
+    # are mapped back to columns to compare with the Fraction reference.  The reference runs on
     # copies, because ``eliminate`` changes the rows it is given.
     rng = random.Random(808)
     scaler = random.Random(809)
@@ -160,16 +162,11 @@ def test_eliminate_is_independent_of_row_order(ab, order):
     ]
     assert eliminate([]) == {}
     for columns, key in orders:
-        assert _integer_rows([{}, {}], key) == ([], [])
         for _ in range(150):
             rows = _random_rows(rng, columns)
             expected = _eliminate_in_given_order([dict(r) for r in rows], key)
             for given in (rows, *_rescaled(scaler, rows, key)):
                 ranked, integer_rows = _integer_rows(given, key)
-                assert [list(map(ranked.__getitem__, r)) for r in integer_rows] == [
-                    list(r) for r in given if r
-                ]
-                assert all(type(c) is int for r in integer_rows for c in r.values())
                 got = eliminate(integer_rows)
                 for i, row in got.items():
                     assert all(type(c) is int for c in row.values())
@@ -260,9 +257,9 @@ def test_coordinate_subspace_intersection_properties(ab, order):
     rng = random.Random(55)
     ambient = all_words(ab, 2)[:8]
     for _ in range(100):
-        A = reduced_basis(
+        A = ker_inv(
             [random_polynomial(rng, ambient) for _ in range(rng.randint(0, 4))], order
-        )
+        ).kernel_basis()
         allowed = set(rng.sample(ambient, rng.randint(0, len(ambient))))
         got = coordinate_subspace_intersection(A, allowed, order)
         for v in got:

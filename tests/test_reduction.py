@@ -6,7 +6,7 @@ import pytest
 from ncgb import linalg, reduction
 from ncgb.completion import CompletionLimits, complete
 from ncgb.fileformat import parse_presentation
-from ncgb.linalg import Polynomial, coordinate_subspace_intersection, reduced_basis
+from ncgb.linalg import Polynomial
 from ncgb.reduction import (
     ReductionOperator,
     complement,
@@ -27,6 +27,7 @@ from ncgb.words import Alphabet, DegLexOrder
 
 from conftest import (
     HEAVY_STEP_TEXT,
+    _eliminate_in_given_order,
     all_words,
     dense_rank,
     in_span,
@@ -232,12 +233,12 @@ def test_meet_join_grassmann_identity(ab, order):
     rng = random.Random(33)
     ambient = all_words(ab, 2)[:8]
     for _ in range(100):
-        A = reduced_basis(
+        A = ker_inv(
             [random_polynomial(rng, ambient) for _ in range(rng.randint(0, 4))], order
-        )
-        B = reduced_basis(
+        ).kernel_basis()
+        B = ker_inv(
             [random_polynomial(rng, ambient) for _ in range(rng.randint(0, 4))], order
-        )
+        ).kernel_basis()
         T, U = ker_inv(A, order), ker_inv(B, order)
         total = meet([T, U]).kernel_basis()
         common = join(T, U).kernel_basis()
@@ -488,6 +489,16 @@ def test_zero_image_rules_are_legal(ab, order):
     assert T.apply(p(ab, "x.x + y")) == p(ab, "y")
 
 
+def _reference_basis(vectors, key, keep=lambda u: True):
+    """The reduced basis of the span of ``vectors`` by the ``Fraction``
+    reference eliminator, whose pivots are greatest under ``key``: the
+    vectors whose pivot ``keep`` holds, by decreasing pivot."""
+    pivots = _eliminate_in_given_order((v._terms for v in vectors), key)
+    return [
+        Polynomial(pivots[u]) for u in sorted(pivots, key=key, reverse=True) if keep(u)
+    ]
+
+
 def test_kernel_bijection_random(ab, order):
     rng = random.Random(101)
     ambient = all_words(ab, 2)
@@ -496,13 +507,14 @@ def test_kernel_bijection_random(ab, order):
         assert ker_inv(kernel_basis(T), order) == T
         vectors = [random_polynomial(rng, ambient) for _ in range(3)]
         basis = kernel_basis(ker_inv(vectors, order))
-        assert reduced_basis(vectors, order) == basis
+        assert _reference_basis(vectors, order.key) == basis
 
 
-def _ker_inv_through_reduced_basis(vectors, order):
-    """Reference: each reduced basis vector e gives the rule lw(e) -> lw(e) - e."""
+def _ker_inv_through_reference(vectors, order):
+    """Reference: each vector e of the reduced basis that the ``Fraction``
+    eliminator gives yields the rule lw(e) -> lw(e) - e."""
     rules = {}
-    for e in reduced_basis(vectors, order):
+    for e in _reference_basis(vectors, order.key):
         lw, _ = e.leading(order)
         rules[lw] = Polynomial.monomial(lw) - e
     return ReductionOperator(order, rules)
@@ -511,7 +523,7 @@ def _ker_inv_through_reduced_basis(vectors, order):
 def test_ker_inv_matches_reduced_basis_path(ab, order):
     rng = random.Random(131)
     ambient = all_words(ab, 2)
-    assert ker_inv([], order) == _ker_inv_through_reduced_basis([], order)
+    assert ker_inv([], order) == _ker_inv_through_reference([], order)
     for _ in range(200):
         vectors = [random_polynomial(rng, ambient) for _ in range(rng.randint(1, 4))]
         # Dependent rows: a multiple of one vector, a sum of two, a zero vector.
@@ -520,7 +532,7 @@ def test_ker_inv_matches_reduced_basis_path(ab, order):
         vectors.insert(rng.randint(0, len(vectors)), Polynomial.zero())
         rng.shuffle(vectors)
         got = ker_inv(vectors, order)
-        assert got == _ker_inv_through_reduced_basis(vectors, order)
+        assert got == _ker_inv_through_reference(vectors, order)
         assert list(got.rules) == sorted(got.rules, key=order.key, reverse=True)
 
 
@@ -631,11 +643,16 @@ def test_complement_matches_meet_then_intersect(ab, order):
     for family in families:
         order = family[0].order
         allowed = normal_form_words(family, family_ambient(family))
-        kernel = coordinate_subspace_intersection(
-            meet(family).kernel_basis(), allowed, order
+        # The intersection by the Fraction reference: with every disallowed
+        # word ranked above every allowed one, the rows whose pivot is
+        # allowed are supported inside ``allowed`` and are its reduced basis.
+        kernel = _reference_basis(
+            meet(family).kernel_basis(),
+            lambda u: (u not in allowed, order.key(u)),
+            allowed.__contains__,
         )
         got = complement(family)
-        assert got == ker_inv(kernel, order)
+        assert got.kernel_basis() == kernel
         # The definition: the join of the meet with the operator whose
         # kernel is spanned by the family-normal-form words.
         words = ker_inv([Polynomial.monomial(u) for u in allowed], order)
