@@ -30,7 +30,6 @@ from .reduction import (
     is_confluent_family,
     join,
     ker_inv,
-    kernel_basis,
     leq,
     meet,
     normal_form_words,
@@ -64,7 +63,6 @@ __all__ = [
     "is_confluent_presentation",
     "join",
     "ker_inv",
-    "kernel_basis",
     "leq",
     "meet",
     "normal_form",

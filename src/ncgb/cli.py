@@ -11,8 +11,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import completion, fileformat, oracle
-from .completion import CompletionLimits, CompletionResult, complete
+from . import fileformat, oracle
+from .completion import CONVERGED, CompletionLimits, CompletionResult, complete
 from .fileformat import (
     format_polynomial,
     format_rules,
@@ -53,12 +53,10 @@ def _write_trace(path: str, P: Presentation, result: CompletionResult) -> None:
         for b in step.branchings:
             marker = " (old)" if b in old else ""
             lines.append(f"    {_fmt_branching(P, b)}{marker}")
-        # One build of the seed rules: normalised_family would make another.
-        seeds = step.spol_seeds
         lines.append("  seeds:")
-        lines.extend(f"    {_fmt_poly(P, f)}" for f in seeds)
+        lines.extend(f"    {_fmt_poly(P, f)}" for f in step.spol_seeds)
         lines.append("  normalised family kernels:")
-        for T in completion.normalisation(seeds, step.operator_before):
+        for T in step.normalised_family:
             lines.extend(f"    {_fmt_poly(P, v)}" for v in T.kernel_basis())
         for title, op in (
             ("complement rules", step.complement_op),
@@ -68,18 +66,6 @@ def _write_trace(path: str, P: Presentation, result: CompletionResult) -> None:
             rules = format_rules(op, P.alphabet) or ["(identity)"]
             lines.extend(f"    {r}" for r in rules)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _branching_count(result: CompletionResult) -> int:
-    """The number of critical branchings of the completed presentation,
-    without enumerating them again: a branching fixes its two keys, so they
-    are the last step's merged branchings plus those where a key that step
-    added reduces.  A run with no step met no branching."""
-    if not result.steps:
-        return 0
-    last = result.steps[-1]
-    added = last.operator_after.rules.keys() - last.operator_before.rules.keys()
-    return len(last.branchings) + len(critical_branchings(result.completed, added))
 
 
 def _cmd_complete(args) -> int:
@@ -94,8 +80,8 @@ def _cmd_complete(args) -> int:
     sys.stdout.write(serialize_presentation(result.completed))
     print(f"status: {result.status}")
     print(f"iterations: {len(result.steps)}")
-    print(f"branchings: {_branching_count(result)}")
-    return 0 if result.status == completion.CONVERGED else 1
+    print(f"branchings: {len(critical_branchings(result.completed))}")
+    return 0 if result.status == CONVERGED else 1
 
 
 def _cmd_check(args) -> int:
@@ -139,7 +125,7 @@ def _cmd_oracle(args) -> int:
     lattice = complete(P, limits)
     ruleset = oracle.RuleSet.from_polynomials(groebner_rules(P), P.order)
     naive = oracle.buchberger(ruleset, degree_cap=args.max_deg, iteration_cap=64)
-    if lattice.status != completion.CONVERGED and not naive.converged:
+    if lattice.status != CONVERGED and not naive.converged:
         print("INCONCLUSIVE: both engines hit their caps")
         return 1
     lattice_rules = oracle.RuleSet.from_polynomials(

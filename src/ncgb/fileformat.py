@@ -77,7 +77,8 @@ def parse_polynomial(text: str, alphabet: Alphabet, line: int | None = None) -> 
         pieces = ["+"] + pieces
     if len(pieces) % 2 != 0 or any(p == "" for p in pieces):
         raise ParseError(f"malformed polynomial {text!r}", line)
-    result = Polynomial.zero()
+    # One dict, not a sum that copies it per term; Polynomial drops zero sums.
+    terms: dict[Word, Fraction] = {}
     for sign, term in zip(pieces[::2], pieces[1::2]):
         coeff_text, star, word_text = term.partition("*")
         if not star:
@@ -90,8 +91,8 @@ def parse_polynomial(text: str, alphabet: Alphabet, line: int | None = None) -> 
         w = parse_word(word_text, alphabet, line)
         if sign == "-":
             coeff = -coeff
-        result = result + Polynomial.monomial(w, coeff)
-    return result
+        terms[w] = terms.get(w, 0) + coeff
+    return Polynomial(terms)
 
 
 def format_polynomial(f: Polynomial, alphabet: Alphabet, order: DegLexOrder) -> str:

@@ -61,13 +61,6 @@ class CriticalBranching:
     left: tuple[int, int]
     right: tuple[int, int]
 
-    @classmethod
-    def make(
-        cls, source: Word, p: tuple[int, int], q: tuple[int, int]
-    ) -> "CriticalBranching":
-        first, second = (p, q) if p >= q else (q, p)
-        return cls(source, first, second)
-
 
 def extension_apply(P: Presentation, n: int, m: int, w: Word) -> Polynomial:
     """Apply the operator to the middle factor, fixing an n-prefix and m-suffix."""

@@ -179,10 +179,6 @@ def _order(family: Sequence[ReductionOperator], operation: str) -> DegLexOrder:
     return order
 
 
-def kernel_basis(T: ReductionOperator) -> list[Polynomial]:
-    return T.kernel_basis()
-
-
 def single_rule(f: Polynomial, order: DegLexOrder) -> ReductionOperator:
     """The operator whose kernel is the line spanned by one nonzero
     polynomial: the rule w -> w - f / c, where c is the coefficient of f's

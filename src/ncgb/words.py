@@ -52,9 +52,6 @@ class DegLexOrder:
     def key(self, w: Word):
         return (len(w), w)
 
-    def less(self, u: Word, v: Word) -> bool:
-        return self.key(u) < self.key(v)
-
 
 def factor_occurrences(w: Word, u: Word) -> list[tuple[int, int]]:
     """All (prefix_len, suffix_len) pairs at which ``u`` occurs as a factor of ``w``.

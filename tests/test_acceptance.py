@@ -35,7 +35,6 @@ from ncgb.reduction import (
     is_confluent_family,
     join,
     ker_inv,
-    kernel_basis,
     leq,
     meet,
     obstructions,
@@ -139,13 +138,13 @@ def test_criterion_4_lattice_properties(deglex_xyz):
         T, U, V = (random_operator(rng, order, ambient) for _ in range(3))
 
         # Kernel bijection and operator axioms.
-        assert ker_inv(kernel_basis(T), order) == T
+        assert ker_inv(T.kernel_basis(), order) == T
         f = random_polynomial(rng, ambient)
         assert T.apply(T.apply(f)) == T.apply(f)
         for u in ambient:
             image = T.apply_word(u)
             if image != Polynomial.monomial(u):
-                assert image.is_zero() or order.less(image.leading(order)[0], u)
+                assert image.is_zero() or order.key(image.leading(order)[0]) < order.key(u)
 
         # Lattice laws.
         assert meet([T, U]) == meet([U, T])
@@ -156,7 +155,7 @@ def test_criterion_4_lattice_properties(deglex_xyz):
         assert join(T, meet([T, U])) == T
 
         # Grassmann dimension identity on the kernels.
-        A, B = kernel_basis(T), kernel_basis(U)
+        A, B = T.kernel_basis(), U.kernel_basis()
         total = meet([T, U]).kernel_basis()
         common = join(T, U).kernel_basis()
         assert len(A) + len(B) == len(total) + len(common)

@@ -4,8 +4,12 @@ import pytest
 
 from ncgb import completion, oracle
 from ncgb.cli import main
+from ncgb.fileformat import parse_presentation
+from ncgb.presentation import critical_branchings
 
 from conftest import BRAIDED_TEXT, COMPLETED_BRAIDED_TEXT, HEAVY_STEP_TEXT, SKIPPING_TEXT
+
+QUANTUM_PLANE_TEXT = "alphabet: x y\norder: deglex\nrules:\ny.x -> 2*x.y\n"
 
 # The whole --trace report of the braided example, layout included.
 BRAIDED_TRACE = """\
@@ -137,6 +141,30 @@ def test_complete_cap_exit_code(braided_file, capsys):
     assert "status: degree_cap" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "text, options, code, status, steps, count",
+    [
+        (BRAIDED_TEXT, [], 0, "converged", 3, 6),
+        (BRAIDED_TEXT, ["--max-iter", "1"], 1, "iteration_cap", 1, 3),
+        (BRAIDED_TEXT, ["--max-deg", "2"], 1, "degree_cap", 1, 3),
+        (QUANTUM_PLANE_TEXT, [], 0, "converged", 0, 0),
+    ],
+    ids=["converged", "iteration_cap", "degree_cap", "quantum_plane"],
+)
+def test_complete_branchings_count_the_printed_presentation(
+    tmp_path, capsys, text, options, code, status, steps, count
+):
+    # The branchings: line counts every critical branching of the printed
+    # presentation, capped or not; the quantum plane has none and no step.
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    assert main(["complete", str(path), *options]) == code
+    out = capsys.readouterr().out
+    printed = parse_presentation(out[: out.index("status:")])
+    assert out.endswith(f"status: {status}\niterations: {steps}\nbranchings: {count}\n")
+    assert len(critical_branchings(printed)) == count
+
+
 def test_complete_trace(braided_file, tmp_path, capsys):
     trace = tmp_path / "trace.txt"
     assert main(["complete", braided_file, "--trace", str(trace)]) == 0
@@ -157,9 +185,11 @@ def test_complete_trace_golden(braided_file, tmp_path):
     assert trace.read_text() == BRAIDED_TRACE
 
 
-def test_complete_trace_builds_each_step_seed_rules_once(tmp_path, capsys, monkeypatch):
-    # The report reads each step's seed rules once and normalises them once,
-    # so a traced run does the loop's work twice, and an untraced run once.
+def test_complete_trace_reads_each_step_seeds_and_family(tmp_path, capsys, monkeypatch):
+    # The report reads each step's spol_seeds and normalised_family, and
+    # each builds the step's seed rules, while only the family normalises
+    # them: a traced run builds the seed rules three times per step and
+    # normalises them twice, and an untraced run does each once.
     heavy = tmp_path / "heavy.txt"
     heavy.write_text(HEAVY_STEP_TEXT)
     calls = dict.fromkeys(("_seeds", "normalisation"), 0)
@@ -178,7 +208,7 @@ def test_complete_trace_builds_each_step_seed_rules_once(tmp_path, capsys, monke
     trace = tmp_path / "trace.txt"
     assert main(args + ["--trace", str(trace)]) == 1
     assert capsys.readouterr().out == untraced
-    assert calls == {"_seeds": 6, "normalisation": 6}
+    assert calls == {"_seeds": 9, "normalisation": 6}
     # The whole report: 1,698 lines over three steps.
     digest = hashlib.sha256(trace.read_bytes()).hexdigest()
     assert digest.startswith("88a16a2d543b1e83")

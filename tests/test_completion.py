@@ -8,7 +8,6 @@ from math import lcm
 import pytest
 
 from ncgb import completion, linalg, reduction
-from ncgb.cli import _branching_count
 from ncgb.completion import (
     CONVERGED,
     DEGREE_CAP,
@@ -289,25 +288,6 @@ def test_lattice_operations_do_not_depend_on_the_rule_order(order):
                     assert list(image.items()) == list(want.rules[w].items())
                     assert all(type(c) is Fraction for _, c in image.items())
     assert reordered > len(pairs)
-
-
-def test_branching_count_matches_full_enumeration():
-    # ncgb complete prints the last step's merged branchings plus those of
-    # the keys it added, instead of enumerating every key's branchings again.
-    # The braided example capped at one step ends at the iteration cap, and
-    # the quantum plane has no branching and so no step.
-    quantum_plane = "alphabet: x y\norder: deglex\nrules:\ny.x -> 2*x.y\n"
-    cases = _differential_cases() + [
-        (parse_presentation(BRAIDED_TEXT), CompletionLimits(max_iterations=1)),
-        (parse_presentation(quantum_plane), CompletionLimits()),
-    ]
-    statuses = set()
-    for P, limits in cases:
-        result = complete(P, limits)
-        statuses.add(result.status)
-        assert _branching_count(result) == len(critical_branchings(result.completed))
-    assert statuses == {CONVERGED, DEGREE_CAP, ITERATION_CAP}
-    assert complete(parse_presentation(quantum_plane)).steps == ()
 
 
 def test_operator_after_matches_meet():

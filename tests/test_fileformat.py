@@ -80,6 +80,24 @@ def test_parse_polynomial_examples(ab):
     assert parse_polynomial("-3*1", ab) == Polynomial({(): -3})
 
 
+def test_parse_polynomial_adds_no_polynomials(ab, monkeypatch):
+    # The terms are summed in one dict, not by one Polynomial sum per term,
+    # which copies the terms so far and makes parsing quadratic.  A word
+    # whose coefficients cancel is dropped, also when it comes back later.
+    def no_sum(self, other):
+        raise AssertionError("parse_polynomial added two polynomials")
+
+    monkeypatch.setattr(Polynomial, "__add__", no_sum)
+    assert parse_polynomial("x + y - x + x - 1/2*y - 1/2*y", ab) == Polynomial({(0,): 1})
+    assert parse_polynomial("x - x", ab).is_zero()
+    assert parse_polynomial("0*y + 2*x.y - 2*x.y + 1/3", ab) == Polynomial(
+        {(): Fraction(1, 3)}
+    )
+    f = parse_polynomial(" + ".join(["x.y + z - 1/2*x.y"] * 3), ab)
+    assert f == Polynomial({w(ab, "xy"): Fraction(3, 2), (2,): 3})
+    assert all(type(c) is Fraction for _, c in f.items())
+
+
 def test_parse_polynomial_errors(ab):
     for bad in ("", "x +", "+ - x", "1/0*x", "3/00*x", "x - 2/0", "2**x", "q"):
         with pytest.raises(ParseError):
