@@ -154,8 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("complete", help="complete a presentation")
     p.add_argument("file")
-    p.add_argument("--max-iter", type=int, default=64)
-    p.add_argument("--max-deg", type=int, default=12)
+    p.add_argument("--max-iter", type=int, default=CompletionLimits.max_iterations)
+    p.add_argument("--max-deg", type=int, default=CompletionLimits.max_rule_degree)
     p.add_argument("--trace", default=None, help="write a per-step trace report")
     p.set_defaults(func=_cmd_complete)
 

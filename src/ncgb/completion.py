@@ -9,11 +9,12 @@ in one batch rather than one at a time, and it is the step's only
 elimination: the family's rows are reduced against one reducer row per
 key by ``linalg._reduce``, and only the residuals are eliminated, as in F4.
 Building the family and meeting the complement into the operator are
-substitutions too.  The seeds are the rules w -> l.U(k).r of the legs
-w - S_{n,m}(w) = l.(k - U(k)).r, built from U's rule for k, and
-``normalisation`` takes the rules as they are and deduplicates them by
-leading word, so no polynomial or operator is hashed.  Normalisation is
-F4's symbolic preprocessing, a closure that does not depend on the order in
+substitutions too.  Every rewrite step is an extension U_{n,m}(w) =
+l.U(k).r of the operator U at a word w = l.k.r (``U.extension``): the seeds
+are the rules w -> U_{n,m}(w) of the legs at the branchings' offsets, and
+``normalisation`` takes them as they are and deduplicates them by leading
+word, so no polynomial or operator is hashed.  Normalisation is F4's
+symbolic preprocessing, a closure that does not depend on the order in
 which words are visited: a stack visits them, and the expansions are
 sorted once, by decreasing key.  Every family member is a plain single-rule
 operator, and ``complement`` clears the denominators of its image to make
@@ -77,7 +78,7 @@ class CompletionStep:
 
     @property
     def spol_seeds(self) -> tuple[Polynomial, ...]:
-        """Both one-step legs w - S_{n,m}(w) of every new branching,
+        """Both one-step legs w - U_{n,m}(w) of every new branching,
         deduplicated, in order of first appearance."""
         return tuple(dict.fromkeys(T.kernel_basis()[0] for T in self._seed_rules()))
 
@@ -99,14 +100,14 @@ def normalisation(
     seeds: list[Polynomial | ReductionOperator], U: ReductionOperator
 ) -> list[ReductionOperator]:
     """Turn seeds into single-rule operators, expanding any U-reducible
-    support word w into the rule w -> image of one rewriting step at
-    ``U.redex(w)``, until all remaining support words are U-normal.  A seed
-    is a nonzero polynomial, whose rule ``single_rule`` makes by dividing
-    it by its leading coefficient, or already a single-rule operator over
-    U's order, which is taken as it is.  Neither kind of rule needs an
-    elimination, nor does an expansion: w - image is monic with leading
-    word w.  Every U-reducible word of the family's supports is thus a key
-    of the family, which ``complete`` relies on.
+    support word w into the rule w -> U_{n,m}(w), the extension at the
+    offsets (n, m) of ``U.redex(w)``, until all support words are U-normal.
+    A seed is a nonzero polynomial, whose rule ``single_rule`` makes by
+    dividing it by its leading coefficient, or already a single-rule
+    operator over U's order, which is taken as it is.  Neither kind of rule
+    needs an elimination, nor does an expansion: w - image is monic with
+    leading word w.  Every U-reducible word of the family's supports is thus
+    a key of the family, which ``complete`` relies on.
 
     This is F4's symbolic preprocessing: the closure of the seeds' support
     words under the words of one-step images.  The seeds' leading words are
@@ -146,10 +147,9 @@ def normalisation(
     redex = U.redex
     while stack:
         w = stack.pop()
-        if (hit := redex(w)) is None:
+        if (offsets := redex(w)) is None:
             continue
-        i, key = hit
-        image = U.rules[key].sandwich(w[:i], w[i + len(key) :])
+        image = U.extension(w, *offsets)
         if image not in seed_images.get(w, ()):
             expansions[w] = ReductionOperator._trusted(order, {w: image})
         for u in image._terms:
@@ -179,24 +179,21 @@ def _meet_complement(U: ReductionOperator, comp: ReductionOperator) -> Reduction
 
 
 def _seeds(U: ReductionOperator, branchings: list[CriticalBranching]) -> list[ReductionOperator]:
-    """The rule w -> S_{n,m}(w) of both one-step legs of every branching of
+    """The rule w -> U_{n,m}(w) of both one-step legs of every branching of
     U, in order.
 
     A leg at offsets (n, m) is l.(k - U(k)).r for the middle factor k of w,
-    a key of U, and w = l.k.r.  Its rule's image l.U(k).r is built from U's
-    rule for k.  U(k) is smaller than k, so every word of the image is
-    smaller than w.  The callers pass U's own branchings, each listed once,
-    so every middle factor is a key and every leg gives a rule.  Repeated
-    rules are left to ``normalisation``.
+    a key of U, and w = l.k.r.  Its rule's image is the extension
+    ``U.extension(w, n, m)`` = l.U(k).r.  U(k) is smaller than k, so every
+    word of the image is smaller than w.  The callers pass U's own
+    branchings, each listed once, so every middle factor is a key and every
+    leg gives a rule.  Repeated rules are left to ``normalisation``.
     """
-    order, rules = U.order, U.rules
-    out = []
-    for b in branchings:
-        w = b.source
-        for n, m in (b.left, b.right):
-            image = rules[w[n : len(w) - m]].sandwich(w[:n], w[len(w) - m :])
-            out.append(ReductionOperator._trusted(order, {w: image}))
-    return out
+    return [
+        ReductionOperator._trusted(U.order, {b.source: U.extension(b.source, n, m)})
+        for b in branchings
+        for n, m in (b.left, b.right)
+    ]
 
 
 def complete(P: Presentation, limits: CompletionLimits | None = None) -> CompletionResult:
@@ -206,7 +203,8 @@ def complete(P: Presentation, limits: CompletionLimits | None = None) -> Complet
     meet only adds kernel vectors, so the keys only grow, and a branching
     fixes its two keys, so the new branchings of a step are exactly those
     where a fresh key reduces.  The first step's fresh keys are P's keys,
-    and a later step's are the keys the step before it added.  Each step
+    and a later step's are the keys the step before it added: those of its
+    complement, whose words U leaves fixed.  Each step
     asks ``critical_branchings`` for those alone and merges them into the
     last step's sorted branchings; no fresh key means no new branching, and
     then nothing is enumerated.
@@ -236,7 +234,7 @@ def complete(P: Presentation, limits: CompletionLimits | None = None) -> Complet
                 operator_after=op_next,
             )
         )
-        fresh = op_next.rules.keys() - pres.operator.rules.keys()
+        fresh = comp.rules.keys()
         pres = Presentation._trusted(P.alphabet, order, op_next)
         previous = current
         if any(len(w) > limits.max_rule_degree for w in op_next.rules):

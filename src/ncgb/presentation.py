@@ -1,8 +1,8 @@
 """Presentations by operator: extensions, critical branchings, rewriting.
 
 A presentation is a triple (alphabet, monomial order, reduction operator).
-The extension of the operator at offsets (n, m) rewrites the middle factor
-of a word while fixing an n-letter prefix and an m-letter suffix; critical
+The extension T_{n,m} of the operator (``ReductionOperator.extension``)
+rewrites the middle factor of a word, fixing its n-prefix and m-suffix; critical
 branchings are the words reducible by two extensions in genuinely
 overlapping or nested positions.
 """
@@ -63,11 +63,8 @@ class CriticalBranching:
 
 
 def extension_apply(P: Presentation, n: int, m: int, w: Word) -> Polynomial:
-    """Apply the operator to the middle factor, fixing an n-prefix and m-suffix."""
-    if len(w) < n + m:
-        return Polynomial.monomial(w)
-    prefix, mid, suffix = w[:n], w[n : len(w) - m], w[len(w) - m :]
-    return P.operator.apply_word(mid).sandwich(prefix, suffix)
+    """The extension T_{n,m}(w) of P's operator T: ``T.extension(w, n, m)``."""
+    return P.operator.extension(w, n, m)
 
 
 def critical_branchings(
@@ -107,33 +104,31 @@ def _branching_key(order: DegLexOrder, b: CriticalBranching):
 
 
 def s_polynomial(P: Presentation, b: CriticalBranching) -> Polynomial:
-    """Difference of the two one-step reductions of the source."""
-    left = extension_apply(P, b.left[0], b.left[1], b.source)
-    right = extension_apply(P, b.right[0], b.right[1], b.source)
-    return left - right
+    """The two one-step reductions of the source w, T_{n,m}(w) - T_{n',m'}(w)."""
+    T = P.operator
+    return T.extension(b.source, *b.left) - T.extension(b.source, *b.right)
 
 
 def normal_form(P: Presentation, f: Polynomial) -> Polynomial:
     """Exhaustively rewrite ``f`` by the rules applied inside words.
 
-    Strategy: greatest reducible monomial first, leftmost occurrence,
-    longest rule key at that position.  Terminates because every step
-    replaces a monomial by strictly smaller ones.
+    Strategy: greatest reducible monomial w first, rewritten by the extension
+    T_{n,m}(w) at the offsets of ``redex``: leftmost occurrence, longest key
+    there.  Terminates because every step replaces a monomial by smaller ones.
     """
-    rules = P.operator.rules
-    if () in rules:
+    T = P.operator
+    if () in T.rules:
         # The only image smaller than the empty word is zero, so the rule
         # kills the unit and with it every word: w = w.1 rewrites to 0.
         return Polynomial.zero()
-    redex = P.operator.redex
+    redex = T.redex
     while True:
         hits = [(w, hit) for w in f.support() if (hit := redex(w)) is not None]
         if not hits:
             return f
-        w, (i, key) = max(hits, key=lambda item: P.order.key(item[0]))
+        w, (n, m) = max(hits, key=lambda item: P.order.key(item[0]))
         c = f.coeff(w)
-        replacement = rules[key].sandwich(w[:i], w[i + len(key) :])
-        f = f - Polynomial.monomial(w, c) + replacement.scale(c)
+        f = f - Polynomial.monomial(w, c) + T.extension(w, n, m).scale(c)
 
 
 def is_confluent_presentation(P: Presentation) -> bool:

@@ -3,7 +3,9 @@
 A reduction operator is a finitely supported idempotent projector on the
 span of words, stored as an inter-reduced rule map: each reducible word is
 sent to a strictly smaller polynomial whose support contains no reducible
-word.  The identity on every unlisted word is implicit.  Operators are in
+word.  The identity on every unlisted word is implicit.  The operator owns
+the rewrite step: ``extension(w, n, m)`` is T_{n,m}(w), and ``redex(w)``
+gives the offsets (n, m) of the leftmost, longest key.  Operators are in
 bijection with finite-dimensional subspaces (their kernels), which is what
 realises the lattice operations: meet by kernel sum, join by kernel
 intersection, and the complement by intersection with the normal-form
@@ -65,19 +67,24 @@ class ReductionOperator:
     def rules(self) -> Mapping[Word, Polynomial]:
         return self._rules
 
-    def redex(self, w: Word) -> tuple[int, Word] | None:
-        """The leftmost position of ``w`` where a key occurs, with the longest
-        key there, or None when ``w`` is irreducible; ``()`` never matches."""
-        rules, max_len, n = self._rules, self._max_key_len, len(w)
-        for i in range(n):
-            for k in range(min(max_len, n - i), 0, -1):
-                if w[i : i + k] in rules:
-                    return i, w[i : i + k]
+    def redex(self, w: Word) -> tuple[int, int] | None:
+        """The offsets (n, m) of the leftmost occurrence in ``w`` of a key,
+        the longest key there, or None when ``w`` is irreducible; ``()``
+        never matches."""
+        rules, max_len, size = self._rules, self._max_key_len, len(w)
+        for n in range(size):
+            for k in range(min(max_len, size - n), 0, -1):
+                if w[n : n + k] in rules:
+                    return n, size - n - k
         return None
 
-    def apply_word(self, w: Word) -> Polynomial:
-        p = self._rules.get(w)
-        return Polynomial.monomial(w) if p is None else p
+    def extension(self, w: Word, n: int, m: int) -> Polynomial:
+        """T_{n,m}(w): ``w`` with the factor between its n-letter prefix and
+        its m-letter suffix replaced by that factor's image; ``w`` itself
+        when the factor is not a key or n + m > len(w)."""
+        end = len(w) - m
+        image = self._rules.get(w[n:end]) if n <= end else None
+        return Polynomial.monomial(w) if image is None else image.sandwich(w[:n], w[end:])
 
     def apply(self, f: Polynomial) -> Polynomial:
         """Linear image of ``f``; already a fixed point since rules are inter-reduced.

@@ -142,7 +142,7 @@ def test_criterion_4_lattice_properties(deglex_xyz):
         f = random_polynomial(rng, ambient)
         assert T.apply(T.apply(f)) == T.apply(f)
         for u in ambient:
-            image = T.apply_word(u)
+            image = T.extension(u, 0, 0)
             if image != Polynomial.monomial(u):
                 assert image.is_zero() or order.key(image.leading(order)[0]) < order.key(u)
 

@@ -3,7 +3,7 @@ import hashlib
 import pytest
 
 from ncgb import completion, oracle
-from ncgb.cli import main
+from ncgb.cli import build_parser, main
 from ncgb.fileformat import parse_presentation
 from ncgb.presentation import critical_branchings
 
@@ -341,6 +341,12 @@ def test_reduce_argument_error_names_argument(braided_file, capsys):
 def test_missing_file_exit_code(tmp_path, capsys):
     assert main(["check", str(tmp_path / "nope.txt")]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_complete_default_limits_are_completion_limits():
+    args = build_parser().parse_args(["complete", "f"])
+    defaults = completion.CompletionLimits()
+    assert (args.max_iter, args.max_deg) == (defaults.max_iterations, defaults.max_rule_degree)
 
 
 def test_non_positive_limits_exit_code(braided_file, capsys):

@@ -128,21 +128,22 @@ def test_redex_examples(ab, order):
     def op(*rules):
         return ReductionOperator(order, {w(ab, k): p(ab, v) for k, v in rules})
 
-    # A key further left beats a longer key further right.
+    # The offsets (n, m) of a key: the lengths of the prefix and suffix
+    # around it.  A key further left beats a longer key further right.
     T = op(("zx", "x"), ("xyy", "y"))
-    assert T.redex(w(ab, "zxyy")) == (0, w(ab, "zx"))
-    assert T.redex(w(ab, "yxyy")) == (1, w(ab, "xyy"))
+    assert T.redex(w(ab, "zxyy")) == (0, 2)  # zx
+    assert T.redex(w(ab, "yxyy")) == (1, 0)  # xyy
     # Of the keys at one position, the longest wins.
     T = op(("yx", "x"), ("yxx", "x.x"))
-    assert T.redex(w(ab, "zyxx")) == (1, w(ab, "yxx"))
-    assert T.redex(w(ab, "zyxz")) == (1, w(ab, "yx"))
+    assert T.redex(w(ab, "zyxx")) == (1, 0)  # yxx
+    assert T.redex(w(ab, "zyxz")) == (1, 1)  # yx
     assert T.redex(w(ab, "xxzz")) is None
     assert identity(order).redex(w(ab, "xyz")) is None
     # A rule keyed by the empty word is never matched.
     T = op(("1", "0"), ("x", "0"))
     assert T.redex(()) is None
     assert T.redex(w(ab, "yz")) is None
-    assert T.redex(w(ab, "yx")) == (1, w(ab, "x"))
+    assert T.redex(w(ab, "yx")) == (1, 0)  # x
 
 
 def test_redex_matches_brute_force(ab, order):
@@ -162,7 +163,11 @@ def test_redex_matches_brute_force(ab, order):
             expected = None
             if hits:
                 first = min(i for i, _ in hits)
-                expected = (first, max((k for i, k in hits if i == first), key=len))
+                key = max((k for i, k in hits if i == first), key=len)
+                expected = (first, len(word) - first - len(key))
+                # The extension at those offsets rewrites that key in place.
+                image = T.rules[key].sandwich(word[:first], word[first + len(key) :])
+                assert T.extension(word, *expected) == image
             assert T.redex(word) == expected
 
 
@@ -574,7 +579,7 @@ def test_operator_axioms_random(ab, order):
         f = random_polynomial(rng, ambient)
         assert T.apply(T.apply(f)) == T.apply(f)
         for u in ambient:
-            image = T.apply_word(u)
+            image = T.extension(u, 0, 0)
             if image != Polynomial.monomial(u):
                 assert image.is_zero() or order.key(image.leading(order)[0]) < order.key(u)
 
