@@ -67,8 +67,6 @@ def parse_polynomial(text: str, alphabet: Alphabet, line: int | None = None) -> 
     text = text.strip()
     if not text:
         raise ParseError("empty polynomial", line)
-    if text == "0":
-        return Polynomial.zero()
     # Split into signed terms; a leading '+' is implicit.
     pieces = re.split(r"\s*([+-])\s*", text)
     if pieces[0] == "":

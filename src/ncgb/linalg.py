@@ -12,7 +12,9 @@ substitutes with it too.  Every basis in the package is one call of
 between ``Fraction`` polynomials and integer rows are
 ``reduction.ReductionOperator._row`` and ``reduction._operator``, one
 each way; ``reduced_basis`` and ``coordinate_subspace_intersection`` go
-through the reduction operators too.
+through the reduction operators too.  ``_add_multiple`` is the one
+``Fraction`` accumulate loop, for ``Polynomial.__add__`` and
+``reduction.ReductionOperator.apply``.
 """
 
 from __future__ import annotations
@@ -70,16 +72,8 @@ class Polynomial:
         return bool(self._terms)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        # Not _add_multiple(terms, 1, ...): ``1 * c`` and ``0 + c`` each build
-        # a new Fraction, and a word new to ``terms`` can take ``c`` as it is.
         terms = dict(self._terms)
-        for w, c in other._terms.items():
-            if w in terms:
-                c += terms[w]
-                if not c:
-                    del terms[w]
-                    continue
-            terms[w] = c
+        _add_multiple(terms, 1, other._terms)
         return Polynomial._trusted(terms)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
@@ -121,15 +115,17 @@ class Polynomial:
         return "Polynomial(" + " + ".join(parts) + ")"
 
 
-def _add_multiple(row: dict, c: Fraction | int, other: Mapping, skip) -> None:
-    """row += c * other, on every column of ``other`` except ``skip``."""
-    for col, d in other.items():
-        if col != skip:
-            x = row.get(col, 0) + c * d
-            if x:
-                row[col] = x
-            else:
-                del row[col]
+def _add_multiple(terms: dict, c: Fraction | int, other: Mapping) -> None:
+    """terms += c * other in place, taking each product as it is (``other``'s
+    own coefficient when c == 1) and dropping every word whose sum is zero."""
+    items = other.items() if c == 1 else ((w, c * d) for w, d in other.items())
+    for w, d in items:
+        if w in terms:
+            d += terms[w]
+            if not d:
+                del terms[w]
+                continue
+        terms[w] = d
 
 
 def _reduce(row: dict, pivots: Mapping[int, Mapping[int, int]]) -> None:

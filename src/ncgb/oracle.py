@@ -33,11 +33,6 @@ class RuleSet:
 Ambiguity = tuple[Word, Word, Word, Polynomial, Polynomial]
 
 
-def _is_overlap(amb: Ambiguity, order: DegLexOrder) -> bool:
-    w1, w2, _, f, _ = amb
-    return len(w1) + len(w2) == len(f.leading(order)[0])
-
-
 def ambiguities(R: RuleSet) -> list[Ambiguity]:
     """All overlap and inclusion ambiguities (w1, w2, w3, f, g).
 
@@ -61,8 +56,8 @@ def ambiguities(R: RuleSet) -> list[Ambiguity]:
 
 
 def ambiguity_s_polynomial(amb: Ambiguity, order: DegLexOrder) -> Polynomial:
-    w1, _, w3, f, g = amb
-    if _is_overlap(amb, order):
+    w1, w2, w3, f, g = amb
+    if len(w1) + len(w2) == len(f.leading(order)[0]):  # an overlap
         return f.sandwich((), w3) - g.sandwich(w1, ())
     return f - g.sandwich(w1, w3)
 
@@ -127,22 +122,6 @@ def buchberger(R: RuleSet, degree_cap: int, iteration_cap: int) -> BuchbergerRes
     return BuchbergerResult(rules=rules, converged=converged)
 
 
-def lm_set_up_to_degree(R: RuleSet, d: int) -> set[Word]:
-    """Words of length <= d containing some rule leading word as a factor."""
-    lms = R.leading_words()
-    letters = range(len(R.order.alphabet))
-    out: set[Word] = set()
-    for length in range(d + 1):
-        for w in itertools.product(letters, repeat=length):
-            if any(
-                w[i : i + len(u)] == u
-                for u in lms
-                for i in range(len(w) - len(u) + 1)
-            ):
-                out.add(w)
-    return out
-
-
 def leading_word_witnesses(
     R1: RuleSet, R2: RuleSet, d: int
 ) -> tuple[list[Word], list[Word]]:
@@ -150,12 +129,12 @@ def leading_word_witnesses(
     leading word of the other side divides (occurs in as a factor), by
     increasing order.
 
-    Both lists are empty exactly when the two sides have the same
-    ``lm_set_up_to_degree(., d)``: a word of length <= d is reducible when
-    it holds a leading word of length <= d, so the sets differ only if one
-    such leading word is not reducible by the other side.  The words listed
-    are then the leading words among the symmetric difference.  The cost is
-    polynomial in d and the number of rules; no word is enumerated.
+    Both lists are empty exactly when the two sides reduce the same words
+    of length <= d: a word of length <= d is reducible when it holds a
+    leading word of length <= d, so the sets of reducible words differ only
+    if one such leading word is not reducible by the other side.  The words
+    listed are then the leading words among the symmetric difference.  The
+    cost is polynomial in d and the number of rules; no word is enumerated.
     """
 
     def unreduced(R: RuleSet, other: RuleSet) -> list[Word]:

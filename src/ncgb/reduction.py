@@ -79,9 +79,11 @@ class ReductionOperator:
         return None
 
     def extension(self, w: Word, n: int, m: int) -> Polynomial:
-        """T_{n,m}(w): ``w`` with the factor between its n-letter prefix and
-        its m-letter suffix replaced by that factor's image; ``w`` itself
-        when the factor is not a key or n + m > len(w)."""
+        """T_{n,m}(w) for offsets n, m >= 0: ``w`` with the factor between
+        its n-letter prefix and its m-letter suffix replaced by that factor's
+        image; ``w`` itself when the factor is not a key or n + m > len(w)."""
+        if n < 0 or m < 0:
+            raise ValueError(f"negative extension offsets ({n}, {m})")
         end = len(w) - m
         image = self._rules.get(w[n:end]) if n <= end else None
         return Polynomial.monomial(w) if image is None else image.sandwich(w[:n], w[end:])
@@ -94,7 +96,10 @@ class ReductionOperator:
         out: dict = {}
         for w, c in f.items():
             p = self._rules.get(w)
-            _add_multiple(out, c, {w: 1} if p is None else p._terms, None)
+            if p is None:
+                _add_multiple(out, 1, {w: c})
+            else:
+                _add_multiple(out, c, p._terms)
         return Polynomial._trusted(out)
 
     def _row(self, w: Word, rank: Mapping[Word, int]) -> dict:

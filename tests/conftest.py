@@ -1,5 +1,6 @@
 """Shared fixtures: the braided-monoid example, word/polynomial builders,
-seeded random generators, and independent dense-elimination oracles."""
+seeded random generators, independent dense-elimination oracles, and the
+enumerated reducible words that the naive completion is compared by."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import pytest
 
 from ncgb.fileformat import parse_polynomial, parse_presentation
 from ncgb.linalg import Polynomial, _add_multiple
+from ncgb.oracle import RuleSet
 from ncgb.presentation import Presentation
 from ncgb.reduction import ReductionOperator, ker_inv
 from ncgb.words import Alphabet, DegLexOrder, Word
@@ -168,16 +170,36 @@ def _eliminate_in_given_order(rows, key):
     pivots: dict = {}
     for row in rows:
         row = dict(row)
+        # The pivot rows are monic, so adding -row[col] times one clears col.
         for col in [col for col in row if col in pivots]:
-            _add_multiple(row, -row.pop(col), pivots[col], col)
+            _add_multiple(row, -row[col], pivots[col])
         if not row:
             continue
         pivot = max(row, key=key)
         inv = 1 / row[pivot]
         row = {col: c * inv for col, c in row.items()}
         for other in pivots.values():
-            c = other.pop(pivot, 0)
+            c = other.get(pivot)
             if c:
-                _add_multiple(other, -c, row, pivot)
+                _add_multiple(other, -c, row)
         pivots[pivot] = row
     return pivots
+
+
+def lm_set_up_to_degree(R: RuleSet, d: int) -> set[Word]:
+    """Words of length <= d containing some rule leading word as a factor.
+
+    Lists all |A|^d words, so it is a reference for small d only; the
+    library compares leading words by ``oracle.leading_word_witnesses``."""
+    lms = R.leading_words()
+    letters = range(len(R.order.alphabet))
+    out: set[Word] = set()
+    for length in range(d + 1):
+        for w in itertools.product(letters, repeat=length):
+            if any(
+                w[i : i + len(u)] == u
+                for u in lms
+                for i in range(len(w) - len(u) + 1)
+            ):
+                out.add(w)
+    return out

@@ -17,7 +17,6 @@ from ncgb.oracle import (
     RuleSet,
     ambiguities,
     buchberger,
-    lm_set_up_to_degree,
     naive_reduce,
 )
 from ncgb.presentation import (
@@ -45,6 +44,7 @@ from ncgb.words import Alphabet, DegLexOrder
 from conftest import (
     all_words,
     dense_rank,
+    lm_set_up_to_degree,
     p,
     random_operator,
     random_polynomial,

@@ -35,6 +35,14 @@ def order(deglex_xyz):
     return deglex_xyz
 
 
+def _dict_sum(f, c, g):
+    """f + c * g over plain dicts, zero sums dropped."""
+    out = dict(f)
+    for u, d in g.items():
+        out[u] = out.get(u, 0) + c * d
+    return {u: d for u, d in out.items() if d}
+
+
 def test_polynomial_arithmetic_is_exact(ab):
     f = p(ab, "1/3*x.y + 2*z")
     g = p(ab, "1/6*x.y - 2*z")
@@ -42,6 +50,39 @@ def test_polynomial_arithmetic_is_exact(ab):
     assert (f + g).coeff(w(ab, "z")) == 0
     assert f - f == Polynomial.zero()
     assert f.scale(3) == p(ab, "x.y + 6*z")
+    # Seeded pairs that share words; g is -f, or -f on some of its words,
+    # often enough that whole sums and single terms cancel exactly.
+    rng = random.Random(2717)
+    ambient = all_words(ab, 2)
+    cancelled = 0
+    for _ in range(400):
+        f = random_polynomial(rng, ambient, max_terms=6)
+        kind = rng.random()
+        if kind < 0.2:
+            g = -f
+        elif kind < 0.5:
+            # -f on some words of f, and fresh terms that may land on others.
+            shared = rng.sample(sorted(f.support()), rng.randint(0, len(f.support())))
+            fresh = dict(random_polynomial(rng, ambient).items())
+            g = Polynomial({u: -f.coeff(u) for u in shared} | fresh)
+        else:
+            g = random_polynomial(rng, ambient, max_terms=6)
+        ft, gt = dict(f.items()), dict(g.items())
+        sums = [
+            (dict((f + g).items()), _dict_sum(ft, 1, gt)),
+            (dict((f - g).items()), _dict_sum(ft, -1, gt)),
+        ]
+        for c in (1, -1, Fraction(3, 2)):
+            terms = dict(ft)
+            _add_multiple(terms, c, gt)
+            sums.append((terms, _dict_sum(ft, c, gt)))
+        for got, expected in sums:
+            assert got == expected
+            assert all(type(d) is Fraction and d for d in got.values())
+        assert (f + (-f)).is_zero()
+        assert dict(f.items()) == ft and dict(g.items()) == gt
+        cancelled += bool((ft.keys() & gt.keys()) - sums[0][0].keys())
+    assert cancelled > 100
 
 
 def test_leading_examples(ab, order):
@@ -97,7 +138,7 @@ def _random_rows(rng, columns):
             combo: dict = {}
             for row in rng.sample(rows, min(2, len(rows))):
                 c = Fraction(rng.choice([-3, -1, 2]), rng.randint(1, 3))
-                _add_multiple(combo, c, row, None)
+                _add_multiple(combo, c, row)
             rows.append(combo)
         else:
             cols = rng.sample(columns, rng.randint(1, min(5, len(columns))))
@@ -187,9 +228,10 @@ def _reduce_reference(row, pivots):
     )
     assert basis.keys() == pivots.keys()
     out = {col: Fraction(c) for col, c in row.items()}
+    # The basis rows are monic, so adding -out[col] times one clears col.
     for col in list(out):
         if col in basis:
-            _add_multiple(out, -out.pop(col), basis[col], col)
+            _add_multiple(out, -out[col], basis[col])
     return out
 
 

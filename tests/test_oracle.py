@@ -8,7 +8,6 @@ from ncgb.oracle import (
     ambiguity_s_polynomial,
     buchberger,
     leading_word_witnesses,
-    lm_set_up_to_degree,
     naive_reduce,
 )
 from ncgb.fileformat import parse_presentation
@@ -16,7 +15,14 @@ from ncgb.linalg import Polynomial
 from ncgb.presentation import critical_branchings, groebner_rules
 from ncgb.words import Alphabet, DegLexOrder
 
-from conftest import SKIPPING_TEXT, all_words, p, random_presentation, w
+from conftest import (
+    SKIPPING_TEXT,
+    all_words,
+    lm_set_up_to_degree,
+    p,
+    random_presentation,
+    w,
+)
 
 
 @pytest.fixture

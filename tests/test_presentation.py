@@ -45,6 +45,12 @@ def test_extension_apply_examples(ab, braided):
     assert extension_apply(braided, 0, 1, w(ab, "yzx")) == p(ab, "x.x")
     assert extension_apply(braided, 2, 5, w(ab, "yzx")) == p(ab, "y.z.x")
     assert extension_apply(braided, 0, 0, w(ab, "yz")) == p(ab, "x")
+    # Negative offsets are rejected, not read as slices from the end.
+    for n, m in [(-2, 0), (1, -1)]:
+        with pytest.raises(ValueError, match="negative extension offsets"):
+            extension_apply(braided, n, m, w(ab, "yzx"))
+    with pytest.raises(ValueError, match="negative extension offsets"):
+        s_polynomial(braided, CriticalBranching(w(ab, "yzx"), (-2, 0), (0, 1)))
 
 
 def test_extension_apply_at_zero_offsets_is_operator(ab):
