@@ -3,16 +3,15 @@
 Subspaces of the span of a finite word set are represented by reduced
 bases: monic vectors with pairwise distinct leading words, fully
 auto-reduced, sorted by decreasing leading word.  Elimination runs on
-integer rows over int columns: the words are sorted once and a word's
-column is its rank there.  One fraction-free kernel, ``_reduce``, clears
-the pivot columns of a row; the one eliminator, ``eliminate``, is its
-forward pass and back-substitution, and ``reduction.complement``
-substitutes with it too.  Every basis in the package is one call of
-``eliminate``, which returns primitive integer rows.  The crossings
-between ``Fraction`` polynomials and integer rows are
-``reduction.ReductionOperator._row`` and ``reduction._operator``, one
-each way; ``reduced_basis`` and ``coordinate_subspace_intersection`` go
-through the reduction operators too.  ``_add_multiple`` is the one
+integer rows over int columns and knows no words.  One fraction-free
+kernel, ``_reduce``, clears the pivot columns of a row; the one
+eliminator, ``eliminate``, is its forward pass and back-substitution, and
+``reduction.complement`` substitutes with it too.  Every basis in the
+package is one call of ``eliminate``, which returns primitive integer
+rows.  The crossings between ``Fraction`` polynomials and integer rows
+are ``reduction._rows``, which ranks the words, and ``reduction._operator``,
+one each way; ``reduced_basis`` and ``coordinate_subspace_intersection``
+go through the reduction operators too.  ``_add_multiple`` is the one
 ``Fraction`` accumulate loop, for ``Polynomial.__add__`` and
 ``reduction.ReductionOperator.apply``.
 """
@@ -22,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .words import DegLexOrder, Word
 
@@ -193,13 +192,6 @@ def eliminate(rows: Iterable[dict]) -> dict:
                 _reduce(other, single)
         pivots[pivot] = row
     return pivots
-
-
-def _ranks(words: Iterable[Word], key: Callable) -> tuple[list[Word], dict[Word, int]]:
-    """``words`` by increasing ``key``, and the rank of each word: its index
-    there, so a greater word has a greater rank."""
-    ranked = sorted(words, key=key)
-    return ranked, {w: i for i, w in enumerate(ranked)}
 
 
 # ``reduction`` imports this module, so the two functions below import

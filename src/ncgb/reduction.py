@@ -13,13 +13,13 @@ words.  ``single_rule`` gives the operator of one line by dividing its
 polynomial by the leading coefficient, or negating it when that
 coefficient is 1, with no elimination; ``ker_inv`` of a span is the meet
 of its lines' operators.  Each of ``meet``, ``join`` and ``complement`` is
-one pass of ``linalg.eliminate`` on integer rows over ranks: the
-operation's words are sorted once (``linalg._ranks``), and a word's rank
-is its index there.  ``ReductionOperator._row`` is the package's only
-crossing from rules to rows, the only place denominators are cleared, and
-``_operator`` the only one back: it maps ranks to words and divides each
-integer row by its pivot entry, one ``Fraction`` per coefficient.  A key's
-integer row is made from its image on each read.  ``complement`` is the
+one call of ``_rows`` and one pass of ``linalg.eliminate``: ``_rows``
+sorts the operation's words once and gives one primitive integer row per
+rule over their ranks, a word's rank being its index there.  It is the
+package's only crossing from rules to rows, the only place denominators
+are cleared, and ``_operator`` the only one back: it maps ranks to words
+and divides each integer row by its pivot entry, one ``Fraction`` per
+coefficient.  The rows are made anew on each call.  ``complement`` is the
 structured elimination of F4: the first kernel row of each key is a
 reducer whose pivot is already known, every other row is reduced against
 the reducers by ``linalg._reduce``, the kernel ``eliminate`` runs on too,
@@ -30,9 +30,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .linalg import Polynomial, _add_multiple, _ranks, _reduce, eliminate
+from .linalg import Polynomial, _add_multiple, _reduce, eliminate
 from .words import DegLexOrder, Word
 
 
@@ -102,19 +102,6 @@ class ReductionOperator:
                 _add_multiple(out, c, p._terms)
         return Polynomial._trusted(out)
 
-    def _row(self, w: Word, rank: Mapping[Word, int]) -> dict:
-        """The integer row {rank[w]: m, rank[u]: -c * m, ...} on the line of
-        the kernel vector w - T(w) of the key w, pivot first, then the words
-        of T(w) in their order.  m is the lcm of the denominators of T(w), so
-        the row is primitive.  A new row is made on each read, and the caller
-        owns it."""
-        terms = self._rules[w]._terms
-        m = lcm(*(c.denominator for c in terms.values()))
-        row = {rank[w]: m}
-        for u, c in terms.items():
-            row[rank[u]] = -c.numerator * (m // c.denominator)
-        return row
-
     def kernel_basis(self) -> list[Polynomial]:
         """Reduced basis {w - T(w) : w reducible}, by decreasing leading word."""
         rules = self._rules
@@ -152,15 +139,26 @@ def _support(family: Iterable[ReductionOperator]) -> set[Word]:
     return words
 
 
-def _kernel_rows(
-    family: Iterable[ReductionOperator], rank: Mapping[Word, int]
-) -> Iterator[dict]:
-    """The row ``T._row(w, rank)`` of each rule, over the ranks of its
-    words, in each member's rule order; the only crossing from rules to
-    rows.  Each row is new, so a caller may change it."""
+def _rows(
+    family: Sequence[ReductionOperator], order: DegLexOrder
+) -> tuple[list[Word], list[dict]]:
+    """The members' ``_support`` by increasing ``order``, and one new integer
+    row per rule over the ranks of those words (their indices there), in
+    each member's rule order: {rank[w]: m, rank[u]: -c * m, ...} on the line
+    of w - T(w), the key's rank first, then the words of T(w) in order.  m is
+    the lcm of T(w)'s denominators, so the row is primitive.  The only
+    crossing from rules to rows."""
+    words = sorted(_support(family), key=order.key)
+    rank = {w: i for i, w in enumerate(words)}
+    rows = []
     for T in family:
-        for w in T.rules:
-            yield T._row(w, rank)
+        for w, image in T.rules.items():
+            m = lcm(*(c.denominator for c in image._terms.values()))
+            row = {rank[w]: m}
+            for u, c in image.items():
+                row[rank[u]] = -c.numerator * (m // c.denominator)
+            rows.append(row)
+    return words, rows
 
 
 def _operator(
@@ -213,10 +211,11 @@ def leq(T1: ReductionOperator, T2: ReductionOperator) -> bool:
 
 
 def meet(family: Sequence[ReductionOperator]) -> ReductionOperator:
-    """Greatest lower bound: the kernel is the sum of the kernels."""
+    """Greatest lower bound: the kernel is the sum of the kernels, spanned
+    by the members' ``_rows``, which one elimination reduces."""
     order = _order(family, "meet")
-    words, rank = _ranks(_support(family), order.key)
-    return _operator(eliminate(_kernel_rows(family, rank)), words, order)
+    words, rows = _rows(family, order)
+    return _operator(eliminate(rows), words, order)
 
 
 def ker_inv(vectors: Iterable[Polynomial], order: DegLexOrder) -> ReductionOperator:
@@ -230,18 +229,18 @@ def ker_inv(vectors: Iterable[Polynomial], order: DegLexOrder) -> ReductionOpera
 def join(T1: ReductionOperator, T2: ReductionOperator) -> ReductionOperator:
     """Least upper bound: the kernel is the intersection of the kernels.
 
-    Zassenhaus block trick: over the n ranks of the two operators' words,
-    the rows (a | a) of T1 and (b | 0) of T2 are eliminated with every
-    first-block column (rank + n) above every second-block one (rank).  The
-    rows left with a second-block pivot are zero on the first block and are
-    the reduced basis of the intersection.
+    Zassenhaus block trick: ``_rows`` gives T1's rows, then T2's, over the
+    n ranks of their words.  The rows (a | a) of T1 and (b | 0) of T2 are
+    eliminated with every first-block column (rank + n) above every
+    second-block one (rank).  The rows left with a second-block pivot are
+    zero on the first block and are the reduced basis of the intersection.
     """
     order = _order([T1, T2], "join")
-    words, rank = _ranks(_support([T1, T2]), order.key)
-    n = len(words)
-    rows = [{j + t: c for j, c in a.items() for t in (n, 0)} for a in _kernel_rows([T1], rank)]
-    rows += [{j + n: c for j, c in b.items()} for b in _kernel_rows([T2], rank)]
-    pivots = eliminate(rows)
+    words, rows = _rows([T1, T2], order)
+    n, k = len(words), len(T1.rules)
+    blocks = [{j + t: c for j, c in a.items() for t in (n, 0)} for a in rows[:k]]
+    blocks += [{j + n: c for j, c in b.items()} for b in rows[k:]]
+    pivots = eliminate(blocks)
     return _operator({i: row for i, row in pivots.items() if i < n}, words, order)
 
 
@@ -278,22 +277,22 @@ def complement(family: Sequence[ReductionOperator]) -> ReductionOperator:
     normal-form words.  On the family ambient, which holds every column of
     the members' kernel rows, those are the words that are not keys.
 
-    The ambient words are sorted once, and every row is an integer row over
-    their ranks, so a greater word is a greater int.  The first kernel row
-    of each key is a reducer: its pivot is its key, and its other columns
-    are smaller words.  Every other row is reduced against the reducers by
-    ``linalg._reduce``, which takes its key columns greatest first, so each
-    key is cleared once.  The residuals hold no key and span the
-    intersection: the kernel sum is the span of the reducers plus that of
-    the residuals, and a nonzero combination of reducers has a key as its
-    leading word.  One elimination of the primitive residuals gives the
-    reduced basis, which is unique.
+    ``_rows`` sorts the ambient words once and gives integer rows over their
+    ranks, so a greater word is a greater int, each with its key's rank
+    first.  The first row of each key is a reducer: its pivot is its key,
+    and its other columns are smaller words.  Every other row is reduced
+    against the reducers by ``linalg._reduce``, which takes its key columns
+    greatest first, so each key is cleared once.  The residuals hold no key
+    and span the intersection: the kernel sum is the span of the reducers
+    plus that of the residuals, and a nonzero combination of reducers has a
+    key as its leading word.  One elimination of the primitive residuals
+    gives the reduced basis, which is unique.
     """
     order = _order(family, "complement")
-    words, rank = _ranks(_support(family), order.key)
+    words, rows = _rows(family, order)
     reducers: dict[int, dict] = {}
     others = []
-    for row in _kernel_rows(family, rank):
+    for row in rows:
         i = next(iter(row))
         if i in reducers:
             others.append(row)

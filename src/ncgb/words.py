@@ -40,7 +40,7 @@ class Alphabet:
 
     def contains_word(self, w: Word) -> bool:
         n = len(self.symbols)
-        return all(0 <= i < n for i in w)
+        return all(type(i) is int and 0 <= i < n for i in w)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from ncgb.presentation import (
 )
 from ncgb.reduction import (
     ReductionOperator,
-    _kernel_rows,
+    _rows,
     complement,
     family_ambient,
     identity,
@@ -251,8 +251,8 @@ def test_complement_does_not_depend_on_the_reducer_choice():
 
 
 def test_lattice_operations_do_not_depend_on_the_rule_order(order):
-    # _kernel_rows reads each member's rules in their stored order, which is
-    # by decreasing word for every operator the engine builds.  Rebuilt with
+    # _rows reads each member's rules in their stored order, which is by
+    # decreasing word for every operator the engine builds.  Rebuilt with
     # its rule map reversed or shuffled, an operator gives the same meet,
     # join and complement: the same rules, in the same order, with the same
     # terms in the same order and Fraction coefficients.
@@ -344,8 +344,7 @@ def test_seeds_match_subtraction_reference():
             for f, rule in zip(legs, rules):
                 assert rule == single_rule(f, P.order)
                 ((leading, image),) = rule.rules.items()
-                words = family_ambient([rule])
-                row = rule._row(leading, {u: i for i, u in enumerate(words)})
+                words, (row,) = _rows([rule], P.order)
                 got_row = [(words[j], c) for j, c in row.items()]
                 assert got_row == _row_reference(leading, image)
                 assert all(type(c) is int for c in row.values())
@@ -434,8 +433,8 @@ def test_complement_leaves_cached_rows_unchanged():
     assert list(meet(family).rules.items()) == list(meet(fresh).rules.items())
     for ops in (family, [step.operator_before]):
         expected = [_row_reference(w, image) for T in ops for w, image in T.rules.items()]
-        words = family_ambient(ops)
-        rows = _kernel_rows(ops, {u: i for i, u in enumerate(words)})
+        words, rows = _rows(ops, P.order)
+        assert words == family_ambient(ops)
         assert [[(words[j], c) for j, c in row.items()] for row in rows] == expected
 
 

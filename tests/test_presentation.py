@@ -79,7 +79,11 @@ def test_presentation_rejects_operator_order_mismatch(ab, order):
 
 
 def test_presentation_rejects_word_outside_alphabet(ab, order):
-    for rules in ({(0, 3): Polynomial.zero()}, {(1, 2): Polynomial.monomial((5,))}):
+    for rules in (
+        {(0, 3): Polynomial.zero()},
+        {(1, 2): Polynomial.monomial((5,))},
+        {("x",): Polynomial.zero()},
+    ):
         with pytest.raises(ValueError, match="outside the alphabet"):
             Presentation(ab, order, ReductionOperator(order, rules))
 
