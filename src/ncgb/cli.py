@@ -124,7 +124,9 @@ def _cmd_oracle(args) -> int:
     limits = CompletionLimits(max_rule_degree=args.max_deg)
     lattice = complete(P, limits)
     ruleset = oracle.RuleSet.from_polynomials(groebner_rules(P), P.order)
-    naive = oracle.buchberger(ruleset, degree_cap=args.max_deg, iteration_cap=64)
+    naive = oracle.buchberger(
+        ruleset, degree_cap=args.max_deg, iteration_cap=limits.max_iterations
+    )
     if lattice.status != CONVERGED and not naive.converged:
         print("INCONCLUSIVE: both engines hit their caps")
         return 1

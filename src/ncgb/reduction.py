@@ -128,27 +128,14 @@ def identity(order: DegLexOrder) -> ReductionOperator:
     return ReductionOperator(order, {})
 
 
-def _support(family: Iterable[ReductionOperator]) -> set[Word]:
-    """Every column of the members' kernel rows: their keys and image words."""
-    words: set[Word] = set()
-    for T in family:
-        rules = T.rules
-        words.update(rules)
-        for image in rules.values():
-            words.update(image._terms)
-    return words
-
-
-def _rows(
-    family: Sequence[ReductionOperator], order: DegLexOrder
-) -> tuple[list[Word], list[dict]]:
-    """The members' ``_support`` by increasing ``order``, and one new integer
-    row per rule over the ranks of those words (their indices there), in
-    each member's rule order: {rank[w]: m, rank[u]: -c * m, ...} on the line
-    of w - T(w), the key's rank first, then the words of T(w) in order.  m is
-    the lcm of T(w)'s denominators, so the row is primitive.  The only
-    crossing from rules to rows."""
-    words = sorted(_support(family), key=order.key)
+def _rows(family: Sequence[ReductionOperator]) -> tuple[list[Word], list[dict]]:
+    """The ``family_ambient`` words, and one new integer row per rule over
+    the ranks of those words (their indices there), in each member's rule
+    order: {rank[w]: m, rank[u]: -c * m, ...} on the line of w - T(w), the
+    key's rank first, then the words of T(w) in order.  m is the lcm of
+    T(w)'s denominators, so the row is primitive.  The only crossing from
+    rules to rows."""
+    words = family_ambient(family)
     rank = {w: i for i, w in enumerate(words)}
     rows = []
     for T in family:
@@ -214,7 +201,7 @@ def meet(family: Sequence[ReductionOperator]) -> ReductionOperator:
     """Greatest lower bound: the kernel is the sum of the kernels, spanned
     by the members' ``_rows``, which one elimination reduces."""
     order = _order(family, "meet")
-    words, rows = _rows(family, order)
+    words, rows = _rows(family)
     return _operator(eliminate(rows), words, order)
 
 
@@ -236,7 +223,7 @@ def join(T1: ReductionOperator, T2: ReductionOperator) -> ReductionOperator:
     zero on the first block and are the reduced basis of the intersection.
     """
     order = _order([T1, T2], "join")
-    words, rows = _rows([T1, T2], order)
+    words, rows = _rows([T1, T2])
     n, k = len(words), len(T1.rules)
     blocks = [{j + t: c for j, c in a.items() for t in (n, 0)} for a in rows[:k]]
     blocks += [{j + n: c for j, c in b.items()} for b in rows[k:]]
@@ -245,9 +232,16 @@ def join(T1: ReductionOperator, T2: ReductionOperator) -> ReductionOperator:
 
 
 def family_ambient(family: Sequence[ReductionOperator]) -> list[Word]:
-    """Sorted union of the supports of the members' kernel rows (increasing)."""
+    """Every column of the members' kernel rows, their keys and image
+    words, by increasing order."""
     order = _order(family, "family_ambient")
-    return sorted(_support(family), key=order.key)
+    words: set[Word] = set()
+    for T in family:
+        rules = T.rules
+        words.update(rules)
+        for image in rules.values():
+            words.update(image._terms)
+    return sorted(words, key=order.key)
 
 
 def normal_form_words(
@@ -289,7 +283,7 @@ def complement(family: Sequence[ReductionOperator]) -> ReductionOperator:
     gives the reduced basis, which is unique.
     """
     order = _order(family, "complement")
-    words, rows = _rows(family, order)
+    words, rows = _rows(family)
     reducers: dict[int, dict] = {}
     others = []
     for row in rows:

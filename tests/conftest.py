@@ -60,13 +60,13 @@ y.x.y -> 0
 
 
 @pytest.fixture
-def xyz() -> Alphabet:
+def ab() -> Alphabet:
     return Alphabet(("x", "y", "z"))
 
 
 @pytest.fixture
-def deglex_xyz(xyz) -> DegLexOrder:
-    return DegLexOrder(xyz)
+def order(ab) -> DegLexOrder:
+    return DegLexOrder(ab)
 
 
 @pytest.fixture

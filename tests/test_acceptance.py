@@ -128,8 +128,7 @@ def test_criterion_3_diamond_lemma(braided):
     print("criterion 3 (Diamond Lemma): PASS")
 
 
-def test_criterion_4_lattice_properties(deglex_xyz):
-    order = deglex_xyz
+def test_criterion_4_lattice_properties(order):
     rng = random.Random(1009)
     ambient = all_words(order.alphabet, 2)[:8]
     cases = 0
@@ -169,8 +168,7 @@ def test_criterion_4_lattice_properties(deglex_xyz):
     print(f"criterion 4 (lattice properties, {cases} cases): PASS")
 
 
-def test_criterion_5_complement_axioms(deglex_xyz):
-    order = deglex_xyz
+def test_criterion_5_complement_axioms(order):
     rng = random.Random(1013)
     ambient = all_words(order.alphabet, 2)[:8]
     cases = 0

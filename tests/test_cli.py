@@ -1,4 +1,8 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +14,11 @@ from ncgb.presentation import critical_branchings
 from conftest import BRAIDED_TEXT, COMPLETED_BRAIDED_TEXT, HEAVY_STEP_TEXT, SKIPPING_TEXT
 
 QUANTUM_PLANE_TEXT = "alphabet: x y\norder: deglex\nrules:\ny.x -> 2*x.y\n"
+
+# The image y.y of x is not smaller than x, so parsing the file fails.
+BAD_IMAGE_TEXT = "alphabet: x y\norder: deglex\nrules:\nx -> y.y\n"
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 # The whole --trace report of the braided example, layout included.
 BRAIDED_TRACE = """\
@@ -225,23 +234,32 @@ def test_complete_unwritable_trace_prints_nothing(braided_file, tmp_path, capsys
 
 def test_check(braided_file, completed_file, capsys):
     assert main(["check", braided_file]) == 1
-    out = capsys.readouterr().out
-    assert "not confluent" in out
-    assert "UNSOLVABLE" in out
-    assert "SP = y.x.y - x.x" in out
+    assert capsys.readouterr().out == (
+        "branching (y.z.x, (1, 0), (0, 1)): SP = y.x.y - x.x, "
+        "normal form = y.x.y - x.x [UNSOLVABLE]\n"
+        "not confluent\n"
+    )
     assert main(["check", completed_file]) == 0
     out = capsys.readouterr().out
     assert out.strip().endswith("confluent")
     assert "UNSOLVABLE" not in out
 
 
-def test_reduce(completed_file, braided_file, capsys):
-    assert main(["reduce", completed_file, "y.z.x"]) == 0
-    assert capsys.readouterr().out.strip() == "x.x"
-    assert main(["reduce", completed_file, "y.x.y.x.y - x.x.x.y"]) == 0
-    assert capsys.readouterr().out.strip() == "0"
-    assert main(["reduce", braided_file, "y.x.y"]) == 0
-    assert capsys.readouterr().out.strip() == "y.x.y"
+def test_reduce(completed_file, braided_file, tmp_path, capsys):
+    plane = tmp_path / "plane.txt"
+    plane.write_text(QUANTUM_PLANE_TEXT)
+    for path, poly, expected in (
+        (completed_file, "y.z.x", "x.x"),
+        (completed_file, "y.x.y.x.y - x.x.x.y", "0"),
+        (braided_file, "y.x.y", "y.x.y"),
+        (braided_file, "y.z.x - x.x", "0"),
+        # More than one rewrite: y.y.x -> 2*y.x.y -> 4*x.y.y.
+        (str(plane), "y.y.x - x", "4*x.y.y - x"),
+        # The zero polynomial parses through the general term path.
+        (braided_file, "0", "0"),
+    ):
+        assert main(["reduce", path, poly]) == 0
+        assert capsys.readouterr().out == expected + "\n"
 
 
 def test_repeated_key_with_rational_images(tmp_path, capsys):
@@ -298,6 +316,7 @@ def test_oracle_disagree_lists_leading_word_witnesses(braided_file, capsys, monk
     # An oracle that stops at the input rules lacks the three rules the
     # lattice completion adds; each is a witness, and nothing else is.
     def stopped(R, degree_cap, iteration_cap):
+        assert iteration_cap == completion.CompletionLimits().max_iterations
         return oracle.BuchbergerResult(R, converged=True)
 
     monkeypatch.setattr(oracle, "buchberger", stopped)
@@ -317,6 +336,11 @@ def test_parse_error_exit_code(tmp_path, capsys):
     bad.write_text("alphabet: x\norder: deglex\nrules:\nx.x - x\n")
     assert main(["check", str(bad)]) == 2
     assert "line 4" in capsys.readouterr().err
+    bad.write_text(BAD_IMAGE_TEXT)
+    assert main(["complete", str(bad)]) == 2
+    assert capsys.readouterr().err == (
+        "error: line 4: rule right-hand side not smaller than left-hand side\n"
+    )
 
 
 def test_zero_denominator_exit_code(braided_file, tmp_path, capsys):
@@ -360,3 +384,33 @@ def test_non_positive_limits_exit_code(braided_file, capsys):
 def test_usage_error():
     with pytest.raises(SystemExit):
         main([])
+
+
+@pytest.mark.parametrize(
+    "command, text, options, code, last",
+    [
+        ("complete", BRAIDED_TEXT, [], 0, ["branchings: 6"]),
+        ("check", BRAIDED_TEXT, [], 1, ["not confluent"]),
+        ("complete", BAD_IMAGE_TEXT, [], 2, []),
+        # The oracle lists no word, so degree 30 (3^30 words) ends at once.
+        ("oracle", BRAIDED_TEXT, ["--max-deg", "30"], 0, ["AGREE"]),
+    ],
+    ids=["complete", "check", "bad_image", "oracle_degree_30"],
+)
+def test_module_exits_with_the_code_main_returns(
+    tmp_path, command, text, options, code, last
+):
+    # python -m ncgb.cli runs the __main__ guard, which no in-process test
+    # reaches: its sys.exit(main()) turns main's return value into the
+    # process exit code.
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    run = subprocess.run(
+        [sys.executable, "-m", "ncgb.cli", command, str(path), *options],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+        timeout=20,
+    )
+    assert run.returncode == code
+    assert run.stdout.splitlines()[-1:] == last

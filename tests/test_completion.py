@@ -58,16 +58,6 @@ from conftest import (
 UNIT_IDEAL_TEXT = "alphabet: x\norder: deglex\nrules:\nx.x -> 1\nx -> 2\n"
 
 
-@pytest.fixture
-def ab(xyz):
-    return xyz
-
-
-@pytest.fixture
-def order(deglex_xyz):
-    return deglex_xyz
-
-
 def test_limits_validation():
     with pytest.raises(ValueError):
         CompletionLimits(max_iterations=0)
@@ -344,7 +334,7 @@ def test_seeds_match_subtraction_reference():
             for f, rule in zip(legs, rules):
                 assert rule == single_rule(f, P.order)
                 ((leading, image),) = rule.rules.items()
-                words, (row,) = _rows([rule], P.order)
+                words, (row,) = _rows([rule])
                 got_row = [(words[j], c) for j, c in row.items()]
                 assert got_row == _row_reference(leading, image)
                 assert all(type(c) is int for c in row.values())
@@ -433,7 +423,7 @@ def test_complement_leaves_cached_rows_unchanged():
     assert list(meet(family).rules.items()) == list(meet(fresh).rules.items())
     for ops in (family, [step.operator_before]):
         expected = [_row_reference(w, image) for T in ops for w, image in T.rules.items()]
-        words, rows = _rows(ops, P.order)
+        words, rows = _rows(ops)
         assert words == family_ambient(ops)
         assert [[(words[j], c) for j, c in row.items()] for row in rows] == expected
 

@@ -26,16 +26,6 @@ from conftest import (
 )
 
 
-@pytest.fixture
-def ab(xyz):
-    return xyz
-
-
-@pytest.fixture
-def order(deglex_xyz):
-    return deglex_xyz
-
-
 def test_parse_word_forms(ab):
     assert parse_word("y.z", ab) == w(ab, "yz")
     assert parse_word("yz", ab) == w(ab, "yz")  # single-char shorthand

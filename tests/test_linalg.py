@@ -25,16 +25,6 @@ from conftest import (
 )
 
 
-@pytest.fixture
-def ab(xyz):
-    return xyz
-
-
-@pytest.fixture
-def order(deglex_xyz):
-    return deglex_xyz
-
-
 def _dict_sum(f, c, g):
     """f + c * g over plain dicts, zero sums dropped."""
     out = dict(f)

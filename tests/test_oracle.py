@@ -26,16 +26,6 @@ from conftest import (
 
 
 @pytest.fixture
-def ab(xyz):
-    return xyz
-
-
-@pytest.fixture
-def order(deglex_xyz):
-    return deglex_xyz
-
-
-@pytest.fixture
 def braid_rules(ab, order):
     return RuleSet.from_polynomials([p(ab, "y.z - x"), p(ab, "z.x - x.y")], order)
 

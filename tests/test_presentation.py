@@ -23,16 +23,6 @@ from conftest import BRAIDED_TEXT, HEAVY_STEP_TEXT, all_words, p, random_present
 
 
 @pytest.fixture
-def ab(xyz):
-    return xyz
-
-
-@pytest.fixture
-def order(deglex_xyz):
-    return deglex_xyz
-
-
-@pytest.fixture
 def s1_presentation(ab, order):
     op = ker_inv(
         [p(ab, "y.z - x"), p(ab, "z.x - x.y"), p(ab, "y.x.y - x.x")], order

@@ -39,16 +39,6 @@ from conftest import (
 
 
 @pytest.fixture
-def ab(xyz):
-    return xyz
-
-
-@pytest.fixture
-def order(deglex_xyz):
-    return deglex_xyz
-
-
-@pytest.fixture
 def braid_op(ab, order):
     # S(yz) = x, S(zx) = xy
     return ker_inv([p(ab, "y.z - x"), p(ab, "z.x - x.y")], order)

@@ -3,19 +3,9 @@ import random
 
 import pytest
 
-from ncgb.words import Alphabet, DegLexOrder, factor_occurrences, overlaps
+from ncgb.words import Alphabet, factor_occurrences, overlaps
 
 from conftest import all_words, w
-
-
-@pytest.fixture
-def ab():
-    return Alphabet(("x", "y", "z"))
-
-
-@pytest.fixture
-def order(ab):
-    return DegLexOrder(ab)
 
 
 def test_alphabet_validation():
